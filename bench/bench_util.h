@@ -137,18 +137,20 @@ class BenchJson {
     records_ += buf;
   }
 
-  /// Expression-tier record: one (kernel, tier) measurement from the
-  /// micro-benchmarks. ns_per_row is the normalized cost; fused_coverage
-  /// is the fraction of source VOps absorbed into superinstructions
-  /// (simd tier only, 0 otherwise). CI compares the simd/bytecode
-  /// ns_per_row ratio against bench/baselines/micro_kernels_tiers.json.
+  /// Tier record: one (kernel, tier) measurement from the
+  /// micro-benchmarks. ns_per_row is the normalized cost (per byte for
+  /// the CRC-32 kernels, printed with 6 significant digits since those
+  /// run well under 1 ns); fused_coverage is the fraction of source VOps
+  /// absorbed into superinstructions (simd tier only, 0 otherwise). CI
+  /// compares ns_per_row ratios against
+  /// bench/baselines/micro_kernels_tiers.json.
   void AddTier(const std::string& kernel, const std::string& tier,
                double ns_per_row, double vops_per_row,
                double fused_coverage) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "%s  {\"kernel\": \"%s\", \"tier\": \"%s\", "
-                  "\"ns_per_row\": %.3f, \"vops_per_row\": %.2f, "
+                  "\"ns_per_row\": %.6g, \"vops_per_row\": %.2f, "
                   "\"fused_coverage\": %.4f}",
                   records_.empty() ? "" : ",\n", kernel.c_str(),
                   tier.c_str(), ns_per_row, vops_per_row, fused_coverage);

@@ -82,15 +82,44 @@ std::vector<uint8_t> MakeCompressibleBuffer(size_t n) {
   return data;
 }
 
-void BM_Crc32(benchmark::State& state) {
-  const auto data = MakeCompressibleBuffer(1 << 20);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.size()));
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
-BENCHMARK(BM_Crc32);
+
+/// CRC-32 cost per byte by kernel (index 0 = detail::Crc32Reference, the
+/// byte-table oracle; 1 = the dispatched Crc32) and buffer size (0 = 4 KiB,
+/// a typical page; 1 = 1 MiB), exported to BENCH_micro_kernels.json by
+/// main(). CI gates the 1 MiB reference/dispatch ratio.
+struct Crc32Record {
+  bool set = false;
+  double ns_per_byte = 0;
+};
+Crc32Record g_crc32[2][2];
+const char* const kCrc32Tiers[2] = {"reference", "dispatch"};
+const char* const kCrc32Kernels[2] = {"crc32_4k", "crc32"};
+
+void BM_Crc32(benchmark::State& state) {
+  const int tier = static_cast<int>(state.range(0));
+  const size_t size = static_cast<size_t>(state.range(1));
+  const auto data = MakeCompressibleBuffer(size);
+  const auto kernel = tier == 0 ? &detail::Crc32Reference : &Crc32;
+  const int64_t t0 = SteadyNowNs();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel(data.data(), data.size(), 0));
+  }
+  const int64_t elapsed_ns = SteadyNowNs() - t0;
+  const int64_t bytes =
+      static_cast<int64_t>(state.iterations()) * static_cast<int64_t>(size);
+  state.SetBytesProcessed(bytes);
+  Crc32Record& record = g_crc32[size >= (1 << 20) ? 1 : 0][tier];
+  record.set = true;
+  record.ns_per_byte =
+      static_cast<double>(elapsed_ns) / static_cast<double>(bytes);
+  state.SetLabel(kCrc32Tiers[tier]);
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{0, 1}, {4 << 10, 1 << 20}});
 
 void BM_LzCompress(benchmark::State& state) {
   const auto data = MakeCompressibleBuffer(1 << 20);
@@ -591,12 +620,6 @@ const char* const kExprKernelNames[kNumExprKernels] = {"expr_simple_cut",
                                                        "expr_trijet_body"};
 ExprTierRecord g_expr_tiers[kNumExprKernels][3];
 
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// A simple event-level cut over MET scalars (pure arithmetic, one shared
 /// subexpression for the CSE pass to merge). Arg 0 walks the shared_ptr
 /// tree once per row; arg 1 runs the per-opcode bytecode over the whole
@@ -855,14 +878,17 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Machine-readable companion for the selective-scan ablation and the
-  // expression-tier measurements (consumed by CI as an artifact; the
-  // tier records feed the simd-regression gate). Only written when the
-  // producing benchmarks ran, so --benchmark_filter on other kernels
-  // stays file-free.
+  // Machine-readable companion for the selective-scan ablation, the
+  // expression-tier and the CRC-32 measurements (consumed by CI as an
+  // artifact; the tier records feed the bench_diff regression gate).
+  // Only written when the producing benchmarks ran, so
+  // --benchmark_filter on other kernels stays file-free.
   bool any_tier = false;
   for (int k = 0; k < hepq::kNumExprKernels; ++k) {
     for (int t = 0; t < 3; ++t) any_tier |= hepq::g_expr_tiers[k][t].set;
+  }
+  for (const auto& by_size : hepq::g_crc32) {
+    for (const auto& r : by_size) any_tier |= r.set;
   }
   if (hepq::g_selective_scan[0].set || hepq::g_selective_scan[1].set ||
       any_tier) {
@@ -880,6 +906,15 @@ int main(int argc, char** argv) {
         if (!r.set) continue;
         json.AddTier(hepq::kExprKernelNames[k], hepq::TierLabel(t),
                      r.ns_per_row, r.vops_per_row, r.fused_coverage);
+      }
+    }
+    // CRC-32 records reuse the tier shape: a "row" is one byte.
+    for (int size = 0; size < 2; ++size) {
+      for (int t = 0; t < 2; ++t) {
+        const auto& r = hepq::g_crc32[size][t];
+        if (!r.set) continue;
+        json.AddTier(hepq::kCrc32Kernels[size], hepq::kCrc32Tiers[t],
+                     r.ns_per_byte, 0.0, 0.0);
       }
     }
     json.Write();

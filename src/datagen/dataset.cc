@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "fileio/reader.h"
+
 namespace hepq {
 
 std::string DatasetSpec::FileName() const {
@@ -29,6 +31,19 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
 }
 
+/// True when `path` opens as a laq file (magics, footer CRC, metadata
+/// validation) holding `num_rows` rows. A file from an older format, a
+/// truncated write or stray bytes under the canonical name fails this
+/// and is regenerated instead of reused. The footer cache stays out of
+/// it so the check leaves no process-wide state behind.
+bool ReusableDataset(const std::string& path, int64_t num_rows) {
+  if (!FileExists(path)) return false;
+  ReaderOptions options;
+  options.footer_cache = false;
+  auto reader = LaqReader::Open(path, std::move(options));
+  return reader.ok() && (*reader)->total_rows() == num_rows;
+}
+
 }  // namespace
 
 Result<std::string> EnsureDataset(const std::string& directory,
@@ -38,7 +53,7 @@ Result<std::string> EnsureDataset(const std::string& directory,
                            "'");
   }
   const std::string path = directory + "/" + spec.FileName();
-  if (FileExists(path)) return path;
+  if (ReusableDataset(path, spec.num_events)) return path;
 
   GeneratorConfig config;
   config.seed = spec.seed;
@@ -109,7 +124,7 @@ Result<std::string> EnsureShardedDataset(const std::string& directory,
   options.codec = spec.codec;
   for (int shard = 0; shard < spec.num_shards; ++shard) {
     const std::string path = dataset_dir + "/" + spec.ShardFileName(shard);
-    if (FileExists(path)) continue;
+    if (ReusableDataset(path, spec.events_per_shard)) continue;
     GeneratorConfig config;
     config.seed = ShardSeed(spec.seed, shard);
     config.first_event_id = shard * spec.events_per_shard;
@@ -142,7 +157,7 @@ Result<std::string> EnsureOptimizedDataset(const std::string& directory,
   std::string path = input;
   const std::string suffix = ".laq";
   path.replace(path.size() - suffix.size(), suffix.size(), "_opt.laq");
-  if (FileExists(path)) return path;
+  if (ReusableDataset(path, spec.num_events)) return path;
   const std::string tmp_path = path + ".tmp";
   LayoutAnalysis analysis;
   HEPQ_ASSIGN_OR_RETURN(analysis, OptimizeLaqFile(input, tmp_path, options));

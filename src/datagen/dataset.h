@@ -24,9 +24,12 @@ struct DatasetSpec {
 };
 
 /// Generates the synthetic CMS data set described by `spec` into
-/// `directory` (created if needed) unless the file already exists.
+/// `directory` (created if needed) unless a valid file already exists.
 /// Returns the file path. Because the generator is deterministic, an
-/// existing file with the same spec is bit-identical to a fresh one.
+/// existing file with the same spec is bit-identical to a fresh one. An
+/// existing file is reused only if it opens as a laq file with
+/// `spec.num_events` rows; anything else (an older format, a truncated
+/// or foreign file) is regenerated in place.
 Result<std::string> EnsureDataset(const std::string& directory,
                                   const DatasetSpec& spec);
 
@@ -62,7 +65,8 @@ uint64_t ShardSeed(uint64_t seed, int shard);
 
 /// Generates the sharded data set described by `spec` under
 /// `directory/<spec.DirName()>`, skipping shards whose file already
-/// exists (determinism makes them bit-identical to a fresh write). Each
+/// exists and passes the same reuse check as EnsureDataset (determinism
+/// makes them bit-identical to a fresh write). Each
 /// shard is written to a ".tmp" name and renamed, so interrupted runs
 /// never leave a half-written shard. Returns the dataset directory path.
 Result<std::string> EnsureShardedDataset(const std::string& directory,
@@ -71,7 +75,8 @@ Result<std::string> EnsureShardedDataset(const std::string& directory,
 /// Generates the dataset described by `spec` (if needed) and rewrites it
 /// through the layout optimizer (if needed), caching the optimized copy
 /// next to the original under "<name>_opt.laq". Both steps are fully
-/// deterministic, so existing files are reused as-is. The cache name does
+/// deterministic, so existing files that pass the EnsureDataset reuse
+/// check are reused as-is. The cache name does
 /// not encode `options`; callers varying them should call OptimizeLaqFile
 /// on a path of their own. Returns the path of the optimized copy.
 Result<std::string> EnsureOptimizedDataset(const std::string& directory,

@@ -238,8 +238,14 @@ Result<std::unique_ptr<LaqReader>> LaqReader::Open(const std::string& path,
       std::fread(footer.data(), 1, footer_size, file) != footer_size) {
     return Status::IoError("cannot read footer");
   }
-  if (Crc32(footer.data(), footer.size()) != footer_crc) {
-    return Status::Corruption("footer checksum mismatch");
+  {
+    // Runs on every open, footer-cache hit or not (see below). The span
+    // carries no bytes: checksum-stage bytes reconcile to the per-query
+    // ScanStats::checksum_bytes, which counts column data only.
+    obs::ScopedSpan span("footer_checksum", obs::Stage::kChecksum);
+    if (Crc32(footer.data(), footer.size()) != footer_crc) {
+      return Status::Corruption("footer checksum mismatch");
+    }
   }
 
   // Footer/metadata cache: everything above — magics, trailer, footer
@@ -404,9 +410,13 @@ Status LaqReader::ReadLeaf(int group, int leaf_index, bool billed,
   if (dead_pages == 0) {
     // Full read: the chunk-level checksum covers the concatenated page
     // bytes, so one pass verifies everything exactly as in v1.
-    if (options_.validate_checksums &&
-        Crc32(compressed.data(), compressed.size()) != chunk.crc32) {
-      return Status::Corruption("checksum mismatch in chunk " + leaf.path);
+    if (options_.validate_checksums) {
+      obs::ScopedSpan checksum_span("chunk_checksum", obs::Stage::kChecksum);
+      if (Crc32(compressed.data(), compressed.size()) != chunk.crc32) {
+        return Status::Corruption("checksum mismatch in chunk " + leaf.path);
+      }
+      if (checksum_span.active()) checksum_span.set_bytes(compressed.size());
+      stats_.checksum_bytes += compressed.size();
     }
     if (chunk.pages.empty()) {
       HEPQ_RETURN_NOT_OK(Decompress(chunk.codec, compressed.data(),
@@ -449,11 +459,18 @@ Status LaqReader::ReadLeaf(int group, int leaf_index, bool billed,
         stats_.pages_pruned += 1;
         stats_.lanes_pruned += page.num_values;
       } else {
-        if (options_.validate_checksums &&
-            Crc32(compressed.data() + byte_offset, page.compressed_size) !=
-                page.crc32) {
-          return Status::Corruption("checksum mismatch in page of chunk " +
-                                    leaf.path);
+        if (options_.validate_checksums) {
+          obs::ScopedSpan checksum_span("page_checksum",
+                                        obs::Stage::kChecksum);
+          if (Crc32(compressed.data() + byte_offset, page.compressed_size) !=
+              page.crc32) {
+            return Status::Corruption("checksum mismatch in page of chunk " +
+                                      leaf.path);
+          }
+          if (checksum_span.active()) {
+            checksum_span.set_bytes(page.compressed_size);
+          }
+          stats_.checksum_bytes += page.compressed_size;
         }
         HEPQ_RETURN_NOT_OK(Decompress(chunk.codec,
                                       compressed.data() + byte_offset,

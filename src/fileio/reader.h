@@ -62,6 +62,12 @@ struct ScanStats {
   uint64_t decoded_bytes = 0;
   uint64_t pages_read = 0;
   uint64_t pages_pruned = 0;
+  /// Column-data bytes CRC-verified (whole chunks, or the live pages of a
+  /// partially pruned chunk); 0 with validate_checksums off. Footer CRCs
+  /// are timed under the checksum stage but not counted here, so the
+  /// counter depends only on what the query reads, not on how many
+  /// readers opened the file.
+  uint64_t checksum_bytes = 0;
   /// Rows of row groups skipped whole (group zone map, or a late-
   /// materialization pre-pass that proved the group dead). Group-level
   /// only — page skips never touch it — so the invariant
@@ -124,6 +130,7 @@ struct ScanStats {
     decoded_bytes += o.decoded_bytes;
     pages_read += o.pages_read;
     pages_pruned += o.pages_pruned;
+    checksum_bytes += o.checksum_bytes;
     rows_pruned += o.rows_pruned;
     rows_read += o.rows_read;
     lanes_pruned += o.lanes_pruned;

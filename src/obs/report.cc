@@ -387,6 +387,7 @@ std::string ReportToJson(const RunReport& report) {
       scan.UInt("decoded_bytes", report.scan.decoded_bytes);
       scan.UInt("pages_read", report.scan.pages_read);
       scan.UInt("pages_pruned", report.scan.pages_pruned);
+      scan.UInt("checksum_bytes", report.scan.checksum_bytes);
       scan.UInt("rows_pruned", report.scan.rows_pruned);
       scan.UInt("rows_read", report.scan.rows_read);
       scan.UInt("lanes_pruned", report.scan.lanes_pruned);

@@ -54,6 +54,7 @@ const char* StageName(Stage stage) {
     case Stage::kPlan: return "plan";
     case Stage::kRowGroup: return "row_group";
     case Stage::kDecode: return "decode";
+    case Stage::kChecksum: return "checksum";
     case Stage::kPagePrune: return "page_prune";
     case Stage::kLateMat: return "late_mat";
     case Stage::kExpr: return "expr";

@@ -26,7 +26,7 @@ namespace hepq::obs {
 
 /// Coarse stage taxonomy every span and counter is tagged with. Stages —
 /// not span names — are the unit of the per-stage report table, and map
-/// onto the paper's cost accounting: decode/prune/late-mat are the
+/// onto the paper's cost accounting: decode/checksum/prune/late-mat are the
 /// storage-side bytes (Figure 4b), expr/event-loop the compute side
 /// (Figure 4a), row-group/merge the scheduling overhead.
 enum class Stage : uint8_t {
@@ -34,7 +34,8 @@ enum class Stage : uint8_t {
   kOpen,        ///< opening readers / files
   kPlan,        ///< planning, binding, expression compilation
   kRowGroup,    ///< one scheduled row-group task (scheduling envelope)
-  kDecode,      ///< storage decode: read + checksum + decompress + decode
+  kDecode,      ///< storage decode: read + decompress + value decode
+  kChecksum,    ///< CRC-32 over footers, chunks and pages (fileio reader)
   kPagePrune,   ///< zone-map evaluation (group- and page-level)
   kLateMat,     ///< late-materialization predicate pre-pass
   kExpr,        ///< expression / kernel evaluation
@@ -45,7 +46,7 @@ enum class Stage : uint8_t {
   kOther,
 };
 
-inline constexpr int kNumStages = 13;
+inline constexpr int kNumStages = 14;
 
 /// Stable lowercase name of a stage (e.g. "decode", "row_group").
 const char* StageName(Stage stage);

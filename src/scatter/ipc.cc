@@ -116,6 +116,7 @@ void PutScanStats(std::vector<uint8_t>* out, const ScanStats& scan) {
   PutU64(out, scan.decoded_bytes);
   PutU64(out, scan.pages_read);
   PutU64(out, scan.pages_pruned);
+  PutU64(out, scan.checksum_bytes);
   PutU64(out, scan.rows_pruned);
   PutU64(out, scan.rows_read);
   PutU64(out, scan.lanes_pruned);
@@ -147,6 +148,7 @@ Status GetScanStats(WireReader* in, ScanStats* scan) {
   HEPQ_RETURN_NOT_OK(in->GetU64(&scan->decoded_bytes));
   HEPQ_RETURN_NOT_OK(in->GetU64(&scan->pages_read));
   HEPQ_RETURN_NOT_OK(in->GetU64(&scan->pages_pruned));
+  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->checksum_bytes));
   HEPQ_RETURN_NOT_OK(in->GetU64(&scan->rows_pruned));
   HEPQ_RETURN_NOT_OK(in->GetU64(&scan->rows_read));
   HEPQ_RETURN_NOT_OK(in->GetU64(&scan->lanes_pruned));

@@ -36,7 +36,9 @@ inline constexpr uint32_t kFrameMagic = 0x48515346;  // "FSQH" on disk (LE)
 /// v2: kReport frames; fragment ScanStats carry the cache-hierarchy
 /// counters (footer/chunk hits+misses, cache_bytes_served, per-leaf
 /// cache_bytes_served) so cross-process cache totals reconcile too.
-inline constexpr uint32_t kFrameVersion = 2;
+/// v3: fragment ScanStats carry checksum_bytes, and stage ids include
+/// the checksum stage (ids after it shifted by one).
+inline constexpr uint32_t kFrameVersion = 3;
 /// Hard payload bound (1 GiB): a malformed length prefix must not make the
 /// coordinator try to buffer arbitrary garbage.
 inline constexpr uint64_t kMaxFramePayload = 1ull << 30;

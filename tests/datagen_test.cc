@@ -1,4 +1,8 @@
 #include <cmath>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -160,6 +164,70 @@ TEST(DatasetTest, EnsureDatasetWritesAndCaches) {
   auto path2 = EnsureDataset(dir, spec);
   ASSERT_TRUE(path2.ok());
   EXPECT_EQ(*path1, *path2);
+}
+
+std::string SlurpFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// A file under the canonical name is reused only if it is a readable laq
+// file with the spec's row count. Anything else — stray bytes, a
+// truncated write, a file of another spec — is regenerated, so the
+// returned path always holds the same bytes a fresh write produces.
+TEST(DatasetTest, InvalidCachedFileIsRegenerated) {
+  DatasetSpec spec;
+  spec.num_events = 600;
+  spec.row_group_size = 200;
+  const std::string fresh =
+      SlurpFile(EnsureDataset(::testing::TempDir() + "/hepq_ds_fresh", spec)
+                    .ValueOrDie());
+  ASSERT_FALSE(fresh.empty());
+  DatasetSpec other = spec;
+  other.num_events = 400;
+  const std::string wrong_rows =
+      SlurpFile(EnsureDataset(::testing::TempDir() + "/hepq_ds_other", other)
+                    .ValueOrDie());
+
+  const std::string dir = ::testing::TempDir() + "/hepq_ds_stale";
+  ASSERT_TRUE(EnsureDataset(dir, spec).ok());
+  const std::string path = dir + "/" + spec.FileName();
+  const std::pair<const char*, std::string> stale[] = {
+      {"garbage", "this is not a laq file, just stray bytes"},
+      {"truncated", fresh.substr(0, fresh.size() / 2)},
+      {"empty", ""},
+      {"wrong row count", wrong_rows},
+  };
+  for (const auto& [what, bytes] : stale) {
+    SCOPED_TRACE(what);
+    WriteFile(path, bytes);
+    auto again = EnsureDataset(dir, spec);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(*again, path);
+    EXPECT_TRUE(SlurpFile(path) == fresh) << "stale file was returned";
+  }
+}
+
+TEST(DatasetTest, InvalidCachedShardIsRegenerated) {
+  ShardedDatasetSpec spec;
+  spec.num_shards = 3;
+  spec.events_per_shard = 300;
+  spec.row_group_size = 150;
+  const std::string dir =
+      EnsureShardedDataset(::testing::TempDir() + "/hepq_shards_stale", spec)
+          .ValueOrDie();
+  const std::string shard1 = dir + "/" + spec.ShardFileName(1);
+  const std::string fresh = SlurpFile(shard1);
+  WriteFile(shard1, fresh.substr(0, fresh.size() - 7));
+  ASSERT_TRUE(EnsureShardedDataset(::testing::TempDir() + "/hepq_shards_stale",
+                                   spec)
+                  .ok());
+  EXPECT_TRUE(SlurpFile(shard1) == fresh) << "truncated shard was reused";
 }
 
 TEST(DatasetTest, RowGroupsHaveExactSpecSize) {

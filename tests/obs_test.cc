@@ -191,9 +191,17 @@ TEST(TraceSessionTest, StageNamesAreStable) {
   EXPECT_STREQ(StageName(Stage::kRun), "run");
   EXPECT_STREQ(StageName(Stage::kRowGroup), "row_group");
   EXPECT_STREQ(StageName(Stage::kDecode), "decode");
+  EXPECT_STREQ(StageName(Stage::kChecksum), "checksum");
   EXPECT_STREQ(StageName(Stage::kPagePrune), "page_prune");
   EXPECT_STREQ(StageName(Stage::kLateMat), "late_mat");
   EXPECT_STREQ(StageName(Stage::kMerge), "merge");
+  // Every stage id below kNumStages has its own name; kOther is the last.
+  std::set<std::string> names;
+  for (int s = 0; s < kNumStages; ++s) {
+    names.insert(StageName(static_cast<Stage>(s)));
+  }
+  EXPECT_EQ(names.size(), static_cast<size_t>(kNumStages));
+  EXPECT_EQ(static_cast<int>(Stage::kOther), kNumStages - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -93,6 +93,19 @@ TEST_P(ReportReconciliation, Figure4QuantitiesMatchEngineTotals) {
     }
     EXPECT_EQ(decode_span_bytes, output.scan.decoded_bytes);
 
+    // Checksum is its own stage: its span bytes are the CRC-verified
+    // column bytes, which every storage byte read is unless its page was
+    // pruned before verification.
+    uint64_t checksum_span_bytes = 0;
+    for (const StageSummary& stage : report.stages) {
+      if (stage.stage == Stage::kChecksum) checksum_span_bytes += stage.bytes;
+    }
+    EXPECT_EQ(checksum_span_bytes, output.scan.checksum_bytes);
+    EXPECT_LE(output.scan.checksum_bytes, output.scan.storage_bytes);
+    if (output.scan.pages_pruned == 0) {
+      EXPECT_EQ(output.scan.checksum_bytes, output.scan.storage_bytes);
+    }
+
     // The per-leaf breakdown partitions the same totals.
     uint64_t leaf_decoded = 0, leaf_storage = 0;
     for (const LeafScanStats& leaf : output.scan.leaves) {
@@ -145,6 +158,12 @@ TEST(ReportReconciliationTest, ParallelRunReconcilesToo) {
     if (stage.stage == Stage::kDecode) decode_span_bytes += stage.bytes;
   }
   EXPECT_EQ(decode_span_bytes, run.output.scan.decoded_bytes);
+  uint64_t checksum_span_bytes = 0;
+  for (const StageSummary& stage : run.report.stages) {
+    if (stage.stage == Stage::kChecksum) checksum_span_bytes += stage.bytes;
+  }
+  EXPECT_GT(run.output.scan.checksum_bytes, 0u);
+  EXPECT_EQ(checksum_span_bytes, run.output.scan.checksum_bytes);
   // 3 row groups -> up to 3 workers busy; every group accounted once.
   int64_t groups = 0;
   for (const WorkerSummary& worker : run.report.workers) {

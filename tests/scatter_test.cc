@@ -114,6 +114,7 @@ ShardFragment MakeFragment(int shard) {
   fragment.output.wall_seconds = 0.5 + shard;
   fragment.output.ops = 7u * static_cast<uint64_t>(shard + 1);
   fragment.output.scan.storage_bytes = 1000u + static_cast<uint64_t>(shard);
+  fragment.output.scan.checksum_bytes = 900u + static_cast<uint64_t>(shard);
   fragment.output.scan.values_read = 10u;
   Histogram1D histogram(HistogramSpec{"h", "title", 4, 0.0, 4.0});
   histogram.Fill(0.5 + shard, 1.0);
@@ -163,6 +164,8 @@ TEST(ScatterIpcTest, FragmentFrameRoundTripsBitExactly) {
             Bits(original.output.cpu_seconds));
   EXPECT_EQ(decoded->output.scan.storage_bytes,
             original.output.scan.storage_bytes);
+  EXPECT_EQ(decoded->output.scan.checksum_bytes,
+            original.output.scan.checksum_bytes);
   ASSERT_EQ(decoded->output.histograms.size(), 1u);
   ExpectBitEqual(decoded->output.histograms[0],
                  original.output.histograms[0]);
@@ -202,7 +205,9 @@ TEST(ScatterIpcTest, MalformedFramesAreErrors) {
   auto version_result = TryParseFrame(bad_version.data(),
                                       bad_version.size(), &frame, &consumed);
   ASSERT_FALSE(version_result.ok());
-  EXPECT_NE(version_result.status().message().find("version 42, expected 2"),
+  const std::string want_version =
+      "version 42, expected " + std::to_string(scatter::kFrameVersion);
+  EXPECT_NE(version_result.status().message().find(want_version),
             std::string::npos);
 
   std::vector<uint8_t> bad_crc = good;
@@ -629,6 +634,51 @@ TEST(ScatterIpcTest, ReportPayloadRoundTripsExactly) {
   EXPECT_EQ(decoded->spans[1].seq, 1u);
   EXPECT_EQ(decoded->spans[1].thread_index, 2);
   EXPECT_EQ(decoded->spans[1].depth, 1);
+}
+
+// The checksum stage (and kOther, the highest stage id) crosses the wire
+// in stage rollups, counters and spans; an id past the last stage is a
+// decode error, not a silently misfiled stage.
+TEST(ScatterIpcTest, ReportPayloadCarriesChecksumStage) {
+  obs::ProcessReport original = MakeReport(0, 1);
+  obs::RunReport& r = original.report;
+  r.scan.checksum_bytes = 8192u;
+  obs::StageSummary checksum;
+  checksum.stage = obs::Stage::kChecksum;
+  checksum.wall_ns = 321;
+  checksum.cpu_ns = 300;
+  checksum.bytes = 8192;
+  checksum.count = 2;
+  r.stages.push_back(checksum);
+  r.counters[0].stage = obs::Stage::kOther;
+  obs::SpanRecord span = original.spans[1];
+  span.name = original.InternName("chunk_checksum");
+  span.stage = obs::Stage::kChecksum;
+  span.bytes = 4096;
+  original.spans.push_back(span);
+
+  auto decoded = DecodeReportPayload(EncodeReportPayload(original));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  const obs::RunReport& b = decoded->report;
+  EXPECT_EQ(b.scan.checksum_bytes, 8192u);
+  ASSERT_EQ(b.stages.size(), 2u);
+  EXPECT_EQ(b.stages[1].stage, obs::Stage::kChecksum);
+  EXPECT_EQ(b.stages[1].wall_ns, 321);
+  EXPECT_EQ(b.stages[1].bytes, 8192u);
+  EXPECT_EQ(b.stages[1].count, 2u);
+  ASSERT_EQ(b.counters.size(), 1u);
+  EXPECT_EQ(b.counters[0].stage, obs::Stage::kOther);
+  ASSERT_EQ(decoded->spans.size(), 3u);
+  EXPECT_STREQ(decoded->spans[2].name, "chunk_checksum");
+  EXPECT_EQ(decoded->spans[2].stage, obs::Stage::kChecksum);
+  EXPECT_EQ(decoded->spans[2].bytes, 4096u);
+
+  // Re-encode with the checksum rollup's stage id bumped past the range.
+  r.stages[1].stage = static_cast<obs::Stage>(obs::kNumStages);
+  auto rejected = DecodeReportPayload(EncodeReportPayload(original));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("unknown stage"),
+            std::string::npos);
 }
 
 TEST(ScatterWorkerTest, EmitsReportBetweenFragmentsAndDone) {
