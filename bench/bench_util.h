@@ -74,19 +74,25 @@ inline cloud::MeasuredQuery ExtrapolateToPaperSize(
 /// bench host this exercises the parallel runtime's correctness and
 /// scheduling, not speedup; multi-core wall times for the figures still
 /// come from the cloud simulator's scaling model, which `--threads` lets
-/// you cross-check against real multi-core runs on bigger hosts.
+/// you cross-check against real multi-core runs on bigger hosts. Exits
+/// with a message on a non-numeric or non-positive count, so a typo
+/// cannot silently benchmark one thread.
 inline int ParseThreadsFlag(int argc, char** argv, int default_threads = 1) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--threads=", 10) == 0) {
-      const int v = std::atoi(arg + 10);
-      if (v > 0) return v;
+      int threads = 0;
+      if (!queries::ParsePositiveInt(arg + 10, &threads)) {
+        std::fprintf(stderr, "--threads needs a positive thread count\n");
+        std::exit(2);
+      }
+      return threads;
     }
   }
   return default_threads;
 }
 
-/// Parses `--vexpr-tier=interpret|bytecode|simd` (default simd) — the
+/// Parses `--vexpr-tier=interpret|simd` (default simd) — the
 /// expression-execution tier for the bigquery/presto plan shapes, shared
 /// by fig4 and the other bench drivers. Exits with a message on a bad
 /// tier name so typos cannot silently benchmark the wrong tier.
@@ -99,7 +105,7 @@ inline queries::VexprTier ParseVexprTierFlag(
       queries::VexprTier tier;
       if (!queries::ParseVexprTier(arg + 13, &tier)) {
         std::fprintf(stderr,
-                     "--vexpr-tier must be interpret, bytecode, or simd\n");
+                     "--vexpr-tier must be interpret or simd\n");
         std::exit(2);
       }
       return tier;

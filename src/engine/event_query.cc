@@ -406,7 +406,6 @@ Status EventQuery::ExecuteBatch(const RecordBatch& batch,
       thread_local VexprScratch tls_scratch;
       scratch = &tls_scratch;
     }
-    scratch->vm.set_simd(expr_exec_ == ExprExec::kSimd);
     BatchBindings bindings;
     HEPQ_ASSIGN_OR_RETURN(bindings,
                           BatchBindings::Bind(batch, lists_, scalars_));

@@ -77,7 +77,7 @@ class EventQuery {
                                  std::vector<ComboLoop> loops,
                                  ExprPtr filter, ExprPtr value);
 
-  /// Selects between the vectorized bytecode path (the default) and the
+  /// Selects between the compiled batch-kernel path (the default) and the
   /// per-row tree-walking interpreter. Results are bit-identical; the
   /// interpreter is kept for the interpreted-vs-compiled ablation.
   void set_expr_exec(ExprExec exec) { expr_exec_ = exec; }
@@ -138,7 +138,7 @@ class EventQuery {
     bool per_combination = false;
   };
 
-  /// Compiles the stages and fills to bytecode on first use (compiled
+  /// Compiles the stages and fills to batch programs on first use (compiled
   /// mode only). Safe to race; Execute paths call it before fanning out.
   Status EnsureCompiled() const;
 

@@ -49,27 +49,22 @@ struct ComboLoop {
   int iter_slot;
 };
 
-/// Which execution tier an engine uses for its expression trees — the
-/// ablation ladder of DESIGN.md "Expression execution":
+/// Which execution tier an engine uses for its expression trees — the two
+/// ends of DESIGN.md "Expression execution":
 ///   kInterpreted — per-row virtual-dispatch tree walk (the Rumble end);
-///   kBytecode    — vectorized bytecode VM, one full-batch register loop
-///                  per opcode (engine/vexpr, PR 3);
-///   kSimd        — the bytecode program after the fusion pass
-///                  (engine/vexpr_fuse): straight-line op runs grouped
-///                  into strip-mined batch kernels (the default).
-/// All three produce bit-identical results; only the cost model differs.
+///   kSimd        — compiled to a batch program (engine/vexpr) and run
+///                  through the fusion pass's strip-mined batch kernels
+///                  (engine/vexpr_fuse; the default).
+/// Both produce bit-identical results; only the cost model differs.
 enum class ExprExec {
   kInterpreted,
-  kBytecode,
   kSimd,
-  /// Deprecated alias for the default compiled tier (now the fused one).
-  kCompiled = kSimd,
 };
 
 class Expr;
 
 /// Structural reflection of one expression node, consumed by the
-/// vectorizing compiler (engine/vexpr): it lowers trees to batch bytecode
+/// vectorizing compiler (engine/vexpr): it lowers trees to batch programs
 /// without widening the interpreter's class hierarchy or exposing the
 /// node classes outside expr.cc. Child pointers stay owned by the
 /// reflected node and are valid while the tree is alive.

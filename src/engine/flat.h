@@ -155,7 +155,7 @@ class FlatPipeline {
   /// else per surviving flat row.
   int AddHistogram(HistogramSpec spec, FlatExprPtr value);
 
-  /// Selects between the vectorized bytecode path (the default) and the
+  /// Selects between the compiled batch-kernel path (the default) and the
   /// per-row tree-walking interpreter. In compiled mode filters narrow a
   /// selection vector instead of physically compacting every materialized
   /// column; results are bit-identical either way, and the interpreter is

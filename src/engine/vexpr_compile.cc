@@ -1,4 +1,4 @@
-// Lowers Expr trees (via their Shape() reflection) into VProgram bytecode
+// Lowers Expr trees (via their Shape() reflection) into VProgram batch code
 // plus a small set of batched drivers — aggregates, combination searches,
 // stage predicates, histogram fills — that together replicate the
 // tree-walking interpreter bit for bit, including its ops accounting
@@ -78,7 +78,7 @@ bool ContainsCombination(const Expr* e) {
 
 struct AggNode;
 
-/// A whole-column input computed outside the bytecode program: either a
+/// A whole-column input computed outside the batch program: either a
 /// batched aggregate or a per-lane interpreter walk of one subtree.
 struct Producer {
   std::unique_ptr<AggNode> agg;

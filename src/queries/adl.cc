@@ -28,8 +28,6 @@ const char* VexprTierName(VexprTier tier) {
   switch (tier) {
     case VexprTier::kInterpret:
       return "interpret";
-    case VexprTier::kBytecode:
-      return "bytecode";
     case VexprTier::kSimd:
       return "simd";
   }
@@ -39,13 +37,24 @@ const char* VexprTierName(VexprTier tier) {
 bool ParseVexprTier(const std::string& name, VexprTier* out) {
   if (name == "interpret") {
     *out = VexprTier::kInterpret;
-  } else if (name == "bytecode") {
-    *out = VexprTier::kBytecode;
   } else if (name == "simd") {
     *out = VexprTier::kSimd;
   } else {
     return false;
   }
+  return true;
+}
+
+bool ParsePositiveInt(const std::string& text, int* out) {
+  // At most 9 digits, so the value always fits an int.
+  if (text.empty() || text.size() > 9) return false;
+  int value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + (c - '0');
+  }
+  if (value <= 0) return false;
+  *out = value;
   return true;
 }
 

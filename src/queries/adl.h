@@ -56,21 +56,24 @@ struct QueryRunOutput {
 };
 
 /// Expression-execution tier for the BigQuery/Presto plan shapes — the
-/// ablation ladder interpreter → bytecode VM → fused simd kernels.
-/// Histograms are bit-identical across all three tiers on every query;
+/// per-row tree-walking interpreter or the compiled fused simd kernels.
+/// Histograms are bit-identical across both tiers on every query;
 /// only the cost model differs. Ignored by kRdf and kDoc, which have no
 /// expression trees.
 enum class VexprTier {
   kInterpret,
-  kBytecode,
   kSimd,
 };
 
-/// Stable lowercase tier name ("interpret" / "bytecode" / "simd").
+/// Stable lowercase tier name ("interpret" / "simd").
 const char* VexprTierName(VexprTier tier);
 /// Parses a tier name; returns false (leaving `out` untouched) on any
 /// other string.
 bool ParseVexprTier(const std::string& name, VexprTier* out);
+/// Parses a positive decimal count (a `--threads=` / `--procs=` value);
+/// returns false (leaving `out` untouched) on an empty, non-numeric,
+/// non-positive, or out-of-range string.
+bool ParsePositiveInt(const std::string& text, int* out);
 
 struct RunOptions {
   /// Reader behaviour is forced per engine (pushdown on for BigQuery/RDF,
@@ -81,18 +84,8 @@ struct RunOptions {
   int num_threads = 1;
   bool validate_checksums = true;
   /// Expression tier for the BigQuery/Presto plan shapes (the
-  /// `--vexpr-tier` flag). `interpret_expressions` below, when set, wins
-  /// and forces kInterpret.
+  /// `--vexpr-tier` flag).
   VexprTier vexpr_tier = VexprTier::kSimd;
-  /// Deprecated alias (pre-tier boolean): forces the tree-walking
-  /// interpreter regardless of `vexpr_tier`. Kept for existing callers of
-  /// the interpreted-vs-compiled ablation; new code should set
-  /// `vexpr_tier = VexprTier::kInterpret` instead.
-  bool interpret_expressions = false;
-  /// The tier after applying the deprecated alias.
-  VexprTier effective_vexpr_tier() const {
-    return interpret_expressions ? VexprTier::kInterpret : vexpr_tier;
-  }
   /// Zone-map predicate pushdown: each frontend extracts the sargable
   /// residue of its own filters and the reader prunes row groups and pages
   /// whose min/max statistics cannot satisfy it. Histograms are

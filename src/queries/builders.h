@@ -12,7 +12,6 @@ namespace hepq::queries {
 /// Maps the public tier knob onto the engine's execution mode.
 inline engine::ExprExec ExprExecFor(VexprTier tier) {
   if (tier == VexprTier::kInterpret) return engine::ExprExec::kInterpreted;
-  if (tier == VexprTier::kBytecode) return engine::ExprExec::kBytecode;
   return engine::ExprExec::kSimd;
 }
 

@@ -32,6 +32,35 @@ TEST(AdlSpecTest, EveryQueryHasSpecs) {
   }
 }
 
+TEST(VexprTierTest, ParseRoundTripsNamesAndRejectsOthers) {
+  for (const VexprTier tier : {VexprTier::kInterpret, VexprTier::kSimd}) {
+    VexprTier parsed = tier == VexprTier::kSimd ? VexprTier::kInterpret
+                                                : VexprTier::kSimd;
+    ASSERT_TRUE(ParseVexprTier(VexprTierName(tier), &parsed))
+        << VexprTierName(tier);
+    EXPECT_EQ(parsed, tier);
+  }
+  for (const char* bad : {"bytecode", ""}) {
+    VexprTier out = VexprTier::kInterpret;
+    EXPECT_FALSE(ParseVexprTier(bad, &out)) << '"' << bad << '"';
+    EXPECT_EQ(out, VexprTier::kInterpret) << '"' << bad << '"';
+  }
+}
+
+TEST(ParsePositiveIntTest, AcceptsPositiveDecimalsOnly) {
+  int out = 0;
+  EXPECT_TRUE(ParsePositiveInt("1", &out));
+  EXPECT_EQ(out, 1);
+  EXPECT_TRUE(ParsePositiveInt("16", &out));
+  EXPECT_EQ(out, 16);
+  for (const char* bad : {"", "0", "-2", "abc", "3x", " 4", "+4",
+                          "9999999999"}) {
+    out = 7;
+    EXPECT_FALSE(ParsePositiveInt(bad, &out)) << '"' << bad << '"';
+    EXPECT_EQ(out, 7) << '"' << bad << '"';
+  }
+}
+
 TEST(AdlSpecTest, InvalidQueryIdsRejected) {
   EXPECT_FALSE(RunAdlQuery(EngineKind::kRdf, 0, TestDataset()).ok());
   EXPECT_FALSE(RunAdlQuery(EngineKind::kRdf, 9, TestDataset()).ok());

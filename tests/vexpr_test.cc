@@ -1,4 +1,4 @@
-// Tests for the vectorized expression bytecode (engine/vexpr): builder
+// Tests for the vectorized expression compiler (engine/vexpr): builder
 // unit tests, a seeded randomized cross-check of the compiled kernel
 // against the tree-walking interpreter (bit-identical values AND ops
 // counters), and golden agreement of all 8 ADL queries across both plan
@@ -356,6 +356,10 @@ TEST(CompiledKernelTest, RandomTreesMatchInterpreterBitForBit) {
 
     auto kernel = CompiledExprKernel::Compile(tree);
     ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    // Every finished program carries a fused plan: it is the only way a
+    // compiled program runs.
+    EXPECT_TRUE(kernel->program().num_instrs() == 0 ||
+                kernel->program().fused() != nullptr);
 
     uint64_t interp_ops = 0;
     std::vector<double> expected(static_cast<size_t>(rows));
@@ -367,22 +371,17 @@ TEST(CompiledKernelTest, RandomTreesMatchInterpreterBitForBit) {
       interp_ops += ctx.ops;
     }
 
-    // Both VM tiers: bytecode loops and the fused strip kernels.
-    for (const bool simd : {false, true}) {
-      SCOPED_TRACE(simd ? "simd" : "bytecode");
-      scratch.vm.set_simd(simd);
-      uint64_t compiled_ops = 0;
-      ASSERT_TRUE(kernel
-                      ->Eval(bindings, rows, &scratch, compiled.data(),
-                             &compiled_ops)
-                      .ok());
-      for (int64_t row = 0; row < rows; ++row) {
-        EXPECT_EQ(Bits(compiled[static_cast<size_t>(row)]),
-                  Bits(expected[static_cast<size_t>(row)]))
-            << "row " << row;
-      }
-      EXPECT_EQ(compiled_ops, interp_ops);
+    uint64_t compiled_ops = 0;
+    ASSERT_TRUE(kernel
+                    ->Eval(bindings, rows, &scratch, compiled.data(),
+                           &compiled_ops)
+                    .ok());
+    for (int64_t row = 0; row < rows; ++row) {
+      EXPECT_EQ(Bits(compiled[static_cast<size_t>(row)]),
+                Bits(expected[static_cast<size_t>(row)]))
+          << "row " << row;
     }
+    EXPECT_EQ(compiled_ops, interp_ops);
   }
 }
 
@@ -478,7 +477,7 @@ TEST(CompiledKernelTest, AdversarialNanInfAgreeAcrossAllTiers) {
   // Regression companion to the float-ordering audit: NaN payloads,
   // non-finite aggregate identities, NaN-asymmetric min/max operand
   // orders, and always-false NaN comparisons must come out bit-identical
-  // from the interpreter, the bytecode loops, and the fused kernels.
+  // from the interpreter and the fused kernels.
   const RecordBatchPtr batch = AdversarialBatch();
   const BatchBindings bindings =
       BatchBindings::Bind(*batch,
@@ -527,28 +526,27 @@ TEST(CompiledKernelTest, AdversarialNanInfAgreeAcrossAllTiers) {
     SCOPED_TRACE(tree->ToString());
     auto kernel = CompiledExprKernel::Compile(tree);
     ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-    for (const bool simd : {false, true}) {
-      SCOPED_TRACE(simd ? "simd" : "bytecode");
-      scratch.vm.set_simd(simd);
-      uint64_t ops = 0;
-      ASSERT_TRUE(
-          kernel->Eval(bindings, rows, &scratch, compiled.data(), &ops).ok());
-      for (int64_t row = 0; row < rows; ++row) {
-        EvalContext ctx;
-        ctx.bindings = &bindings;
-        ctx.row = static_cast<uint32_t>(row);
-        EXPECT_EQ(Bits(compiled[static_cast<size_t>(row)]),
-                  Bits(tree->Eval(&ctx)))
-            << "row " << row;
-      }
+    uint64_t ops = 0;
+    uint64_t interp_ops = 0;
+    ASSERT_TRUE(
+        kernel->Eval(bindings, rows, &scratch, compiled.data(), &ops).ok());
+    for (int64_t row = 0; row < rows; ++row) {
+      EvalContext ctx;
+      ctx.bindings = &bindings;
+      ctx.row = static_cast<uint32_t>(row);
+      EXPECT_EQ(Bits(compiled[static_cast<size_t>(row)]),
+                Bits(tree->Eval(&ctx)))
+          << "row " << row;
+      interp_ops += ctx.ops;
     }
+    EXPECT_EQ(ops, interp_ops);
   }
 }
 
 TEST(CompiledKernelTest, GateMatchesEvalPlusCompactionAcrossDensities) {
   // The fused gate (evaluate + compact in one strip pass) must select
-  // exactly the lanes an Eval + `!= 0.0` compaction selects, on both VM
-  // tiers, from all-pass through sparse to empty selections.
+  // exactly the lanes an Eval + `!= 0.0` compaction selects, from
+  // all-pass through sparse to empty selections.
   std::mt19937 data_rng(11);
   const RecordBatchPtr batch = RandomBatch(&data_rng, 96);
   const BatchBindings bindings =
@@ -565,29 +563,24 @@ TEST(CompiledKernelTest, GateMatchesEvalPlusCompactionAcrossDensities) {
     VexprScratch scratch;
     std::vector<double> values(static_cast<size_t>(rows));
     std::vector<uint32_t> expect_sel, gate_sel(static_cast<size_t>(rows));
-    for (const bool simd : {false, true}) {
-      SCOPED_TRACE(simd ? "simd" : "bytecode");
-      scratch.vm.set_simd(simd);
-      uint64_t eval_ops = 0;
-      ASSERT_TRUE(
-          kernel->Eval(bindings, rows, &scratch, values.data(), &eval_ops)
-              .ok());
-      expect_sel.clear();
-      for (int64_t row = 0; row < rows; ++row) {
-        if (values[static_cast<size_t>(row)] != 0.0) {
-          expect_sel.push_back(static_cast<uint32_t>(row));
-        }
+    uint64_t eval_ops = 0;
+    ASSERT_TRUE(
+        kernel->Eval(bindings, rows, &scratch, values.data(), &eval_ops)
+            .ok());
+    for (int64_t row = 0; row < rows; ++row) {
+      if (values[static_cast<size_t>(row)] != 0.0) {
+        expect_sel.push_back(static_cast<uint32_t>(row));
       }
-      uint64_t gate_ops = 0;
-      const auto count =
-          kernel->Gate(bindings, rows, &scratch, gate_sel.data(), &gate_ops);
-      ASSERT_TRUE(count.ok()) << count.status().ToString();
-      ASSERT_EQ(static_cast<size_t>(*count), expect_sel.size());
-      for (size_t i = 0; i < expect_sel.size(); ++i) {
-        EXPECT_EQ(gate_sel[i], expect_sel[i]) << "position " << i;
-      }
-      EXPECT_EQ(gate_ops, eval_ops);
     }
+    uint64_t gate_ops = 0;
+    const auto count =
+        kernel->Gate(bindings, rows, &scratch, gate_sel.data(), &gate_ops);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    ASSERT_EQ(static_cast<size_t>(*count), expect_sel.size());
+    for (size_t i = 0; i < expect_sel.size(); ++i) {
+      EXPECT_EQ(gate_sel[i], expect_sel[i]) << "position " << i;
+    }
+    EXPECT_EQ(gate_ops, eval_ops);
   }
 }
 
@@ -602,8 +595,8 @@ TEST(BindingsTest, NonPrimitiveLeafRejectedAtBindWithTypeName) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden agreement: 8 queries x both plan shapes x all three execution
-// tiers x {1, 4} threads, all bit-identical.
+// Golden agreement: 8 queries x both plan shapes x both execution tiers
+// x {1, 4} threads, all bit-identical.
 // ---------------------------------------------------------------------------
 
 const std::string& GoldenDataset() {
@@ -640,8 +633,7 @@ TEST_P(CompiledInterpretedGolden, BitIdenticalAcrossExecModeAndThreads) {
     const auto reference =
         queries::RunAdlQuery(engine, q, GoldenDataset(), ref_options);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (const VexprTier tier :
-         {VexprTier::kInterpret, VexprTier::kBytecode, VexprTier::kSimd}) {
+    for (const VexprTier tier : {VexprTier::kInterpret, VexprTier::kSimd}) {
       for (const int threads : {1, 4}) {
         if (tier == VexprTier::kInterpret && threads == 1)
           continue;  // the reference run

@@ -2,17 +2,17 @@
 // resulting histogram plus execution statistics.
 //
 // Usage: hepq_run <query 1..8> [engine] [events] [--threads=N]
-//                 [--vexpr-tier=interpret|bytecode|simd]
+//                 [--vexpr-tier=interpret|simd]
 //                 [--no-pushdown] [--no-late-mat]
 //                 [--profile[=report.json]] [--trace=trace.json]
 //   engine: rdf (default) | bigquery | presto | doc | all | explain
 //   events: data-set size to generate/reuse (default 20000)
 //   --threads=N: scan row groups with N workers of the shared runtime
-//     (results are bit-identical for any N; default 1)
+//     (results are bit-identical for any N; default 1; N must be a
+//     positive integer)
 //   --vexpr-tier=T: expression-execution tier for the bigquery/presto
-//     plan shapes — interpret (tree walk), bytecode (PR 3 VM), or simd
-//     (fused batch kernels, the default); histograms are bit-identical
-//     across tiers. Replaces the old --interpret-expressions boolean.
+//     plan shapes — interpret (tree walk) or simd (compiled fused batch
+//     kernels, the default); histograms are bit-identical across tiers.
 //   --no-pushdown: disable zone-map predicate pushdown (group/page
 //     pruning); histograms are bit-identical either way
 //   --no-late-mat: disable late materialization (decode every projected
@@ -437,7 +437,10 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[i], "--procs=", 8) == 0) {
-      procs = std::atoi(argv[i] + 8);
+      if (!hepq::queries::ParsePositiveInt(argv[i] + 8, &procs)) {
+        std::fprintf(stderr, "--procs needs a positive process count\n");
+        return 2;
+      }
       continue;
     }
     if (std::strncmp(argv[i], "--worker-shards=", 16) == 0) {
@@ -453,15 +456,18 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const int v = std::atoi(argv[i] + 10);
-      if (v > 0) options.num_threads = v;
+      if (!hepq::queries::ParsePositiveInt(argv[i] + 10,
+                                           &options.num_threads)) {
+        std::fprintf(stderr, "--threads needs a positive thread count\n");
+        return 2;
+      }
       continue;
     }
     if (std::strncmp(argv[i], "--vexpr-tier=", 13) == 0) {
       if (!hepq::queries::ParseVexprTier(argv[i] + 13,
                                          &options.vexpr_tier)) {
         std::fprintf(stderr,
-                     "--vexpr-tier must be interpret, bytecode, or simd\n");
+                     "--vexpr-tier must be interpret or simd\n");
         return 2;
       }
       continue;
@@ -537,7 +543,7 @@ int main(int argc, char** argv) {
   if (argc < 2 && !queries_all) {
     std::fprintf(stderr, "usage: %s <query 1..8> [rdf|bigquery|presto|doc|all]"
                          " [events] [--threads=N]"
-                         " [--vexpr-tier=interpret|bytecode|simd]"
+                         " [--vexpr-tier=interpret|simd]"
                          " [--no-pushdown]"
                          " [--no-late-mat] [--profile[=report.json]]"
                          " [--trace=trace.json] [--data=path.laq]"
