@@ -26,7 +26,6 @@
 #include "queries/adl.h"
 #include "queries/builders.h"
 
-using hepq::LaqReader;
 using hepq::ReaderOptions;
 using hepq::queries::BuildAdlEventQuery;
 using hepq::queries::BuildAdlFlatPipeline;
@@ -60,14 +59,12 @@ int main() {
   for (int q = 2; q <= 6; ++q) {
     auto expr_query = BuildAdlEventQuery(q);
     expr_query.status().Check();
-    auto reader1 = LaqReader::Open(path).ValueOrDie();
-    auto expr_result = expr_query->Execute(reader1.get());
+    auto expr_result = expr_query->Execute(path, ReaderOptions{}, 1);
     expr_result.status().Check();
 
     auto flat_query = BuildAdlFlatPipeline(q);
     flat_query.status().Check();
-    auto reader2 = LaqReader::Open(path).ValueOrDie();
-    auto flat_result = flat_query->Execute(reader2.get());
+    auto flat_result = flat_query->Execute(path, ReaderOptions{}, 1);
     flat_result.status().Check();
 
     std::printf("Q%-5d %18.4f %18.4f %13.1fx %18llu\n", q,
@@ -89,11 +86,9 @@ int main() {
     without.struct_projection_pushdown = false;
     auto query = BuildAdlEventQuery(q);
     query.status().Check();
-    auto reader_on = LaqReader::Open(path, with).ValueOrDie();
-    auto on = query->Execute(reader_on.get());
+    auto on = query->Execute(path, with, 1);
     on.status().Check();
-    auto reader_off = LaqReader::Open(path, without).ValueOrDie();
-    auto off = query->Execute(reader_off.get());
+    auto off = query->Execute(path, without, 1);
     off.status().Check();
     std::printf("Q%-5d %16.4f %16.4f %16llu %16llu\n", q, on->cpu_seconds,
                 off->cpu_seconds,

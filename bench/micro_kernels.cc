@@ -368,21 +368,23 @@ void BM_ParallelScanRowGroups(benchmark::State& state) {
   const std::string& path = AblationDataset(Codec::kLz);
   const std::vector<std::string> projection = {"Jet.pt"};
   for (auto _ : state) {
-    exec::WorkerReaders readers(path, ReaderOptions{}, g_bench_threads);
-    const FileMetadata* metadata = readers.metadata().ValueOrDie();
-    std::vector<exec::RowGroupTask> tasks =
-        exec::MakeRowGroupTasks(*metadata);
+    const exec::DatasetLayout layout =
+        exec::ResolveDatasetLayout(path, ReaderOptions{}).ValueOrDie();
+    exec::WorkerReaders readers(layout, ReaderOptions{}, g_bench_threads);
+    std::vector<exec::RowGroupTask> tasks = exec::MakeRowGroupTasks(layout);
     const int workers = exec::EffectiveWorkers(g_bench_threads, tasks.size());
     std::atomic<int64_t> rows{0};
     exec::RunRowGroups(
         workers, std::move(tasks),
         [&](int worker, int g) -> Status {
+          const exec::DatasetLayout::Group& loc =
+              layout.groups[static_cast<size_t>(g)];
           LaqReader* reader;
-          HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker));
+          HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker, loc.file));
           RecordBatchPtr batch;
           HEPQ_ASSIGN_OR_RETURN(
-              batch,
-              reader->ReadRowGroup(g, projection, readers.scratch(worker)));
+              batch, reader->ReadRowGroup(loc.local_group, projection,
+                                          readers.scratch(worker)));
           rows.fetch_add(batch->num_rows(), std::memory_order_relaxed);
           return Status::OK();
         })

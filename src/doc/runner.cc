@@ -542,62 +542,7 @@ ScanPredicateSet ExtractDocScanPredicates(const DocQuery& query) {
   return out;
 }
 
-Result<RecordBatchPtr> ReadGroup(LaqReader* reader, const DocQuery& query,
-                                 const ScanPredicateSet& preds, int group,
-                                 ScratchBuffers* scratch) {
-  // Full-width read unless the query carries a projection (Rumble only
-  // pushes projections for the simplest queries, paper Figure 4b).
-  if (query.projection.empty()) {
-    std::vector<std::string> all;
-    for (const Field& f : reader->schema().fields()) all.push_back(f.name);
-    return reader->ReadRowGroupFiltered(group, all, preds, scratch);
-  }
-  return reader->ReadRowGroupFiltered(group, query.projection, preds,
-                                      scratch);
-}
-
 }  // namespace
-
-Result<DocQueryResult> RunDocQuery(LaqReader* reader, const DocQuery& query) {
-  obs::ScopedSpan run_span("run", obs::Stage::kRun);
-  EnsureDocFunctionsRegistered();
-  DocQueryResult result = EmptyResult(query);
-  reader->ResetScanStats();
-  Stopwatch wall;
-  const double cpu0 = ProcessCpuSeconds();
-
-  const ScanPredicateSet preds = ExtractDocScanPredicates(query);
-  std::vector<DocQueryResult> partials(
-      static_cast<size_t>(reader->num_row_groups()));
-  for (DocQueryResult& p : partials) p = EmptyResult(query);
-  ScratchBuffers scratch;
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      /*num_threads=*/1, exec::MakeRowGroupTasks(reader->metadata()),
-      [&](int /*worker*/, int g) -> Status {
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(batch,
-                              ReadGroup(reader, query, preds, g, &scratch));
-        if (batch == nullptr) {
-          // Zone maps proved no event in this group can pass the guard:
-          // everything counts as processed-but-unselected.
-          partials[static_cast<size_t>(g)].events_processed +=
-              reader->metadata().row_groups[static_cast<size_t>(g)].num_rows;
-          return Status::OK();
-        }
-        return RunBatch(query, *batch, &partials[static_cast<size_t>(g)]);
-      }));
-  {
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    for (const DocQueryResult& p : partials) {
-      HEPQ_RETURN_NOT_OK(MergeResult(&result, p));
-    }
-  }
-
-  result.wall_seconds = wall.Seconds();
-  result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = reader->scan_stats();
-  return result;
-}
 
 Result<DocQueryResult> RunDocQuery(const std::string& path,
                                    ReaderOptions reader_options,
@@ -608,52 +553,47 @@ Result<DocQueryResult> RunDocQuery(const std::string& path,
   Stopwatch wall;
   const double cpu0 = ProcessCpuSeconds();
 
-  exec::DatasetLayout layout;
-  HEPQ_ASSIGN_OR_RETURN(layout,
-                        exec::ResolveDatasetLayout(path, reader_options));
-  exec::WorkerReaders readers(&layout, reader_options,
-                              std::max(num_threads, 1));
-  std::vector<exec::RowGroupTask> tasks = exec::MakeRowGroupTasks(layout);
-  const int workers = exec::EffectiveWorkers(num_threads, tasks.size());
-
-  const ScanPredicateSet preds = ExtractDocScanPredicates(query);
-  std::vector<DocQueryResult> partials(layout.groups.size());
-  for (DocQueryResult& p : partials) p = EmptyResult(query);
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      workers, std::move(tasks), [&](int worker, int g) -> Status {
-        const exec::DatasetLayout::Group& loc =
-            layout.groups[static_cast<size_t>(g)];
-        LaqReader* reader;
-        HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker, loc.file));
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(batch, ReadGroup(reader, query, preds,
-                                               loc.local_group,
-                                               readers.scratch(worker)));
-        if (batch == nullptr) {
-          partials[static_cast<size_t>(g)].events_processed += loc.num_rows;
-          return Status::OK();
-        }
-        return RunBatch(query, *batch, &partials[static_cast<size_t>(g)]);
-      }));
-  {
-    // Two-level deterministic merge (per-file subtotal in local group
-    // order, then file order) — matches the scatter/gather coordinator's
-    // association exactly, so P-process runs are bit-identical (see
-    // exec::DatasetLayout).
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    size_t g = 0;
-    for (int file = 0; file < layout.num_files(); ++file) {
-      DocQueryResult file_total = EmptyResult(query);
-      for (; g < partials.size() && layout.groups[g].file == file; ++g) {
-        HEPQ_RETURN_NOT_OK(MergeResult(&file_total, partials[g]));
-      }
-      HEPQ_RETURN_NOT_OK(MergeResult(&result, file_total));
+  exec::DatasetScan scan;
+  HEPQ_ASSIGN_OR_RETURN(scan, exec::DatasetScan::Open(path, reader_options));
+  // Full-width read unless the query carries a projection (Rumble only
+  // pushes projections for the simplest queries, paper Figure 4b).
+  std::vector<std::string> projection = query.projection;
+  if (projection.empty()) {
+    for (const Field& f : scan.layout().schema.fields()) {
+      projection.push_back(f.name);
     }
   }
+  const ScanPredicateSet preds = ExtractDocScanPredicates(query);
+  std::vector<DocQueryResult> partials(scan.layout().groups.size());
+  for (DocQueryResult& p : partials) p = EmptyResult(query);
+  HEPQ_ASSIGN_OR_RETURN(
+      result.scan,
+      scan.Run(num_threads, [&](const exec::ScanGroup& sg) -> Status {
+        RecordBatchPtr batch;
+        HEPQ_ASSIGN_OR_RETURN(
+            batch, sg.reader->ReadRowGroupFiltered(sg.loc->local_group,
+                                                   projection, preds,
+                                                   sg.scratch));
+        DocQueryResult& partial = partials[static_cast<size_t>(sg.group)];
+        if (batch == nullptr) {
+          // Zone maps proved no event in this group can pass the guard:
+          // everything counts as processed-but-unselected.
+          partial.events_processed += sg.loc->num_rows;
+          return Status::OK();
+        }
+        return RunBatch(query, *batch, &partial);
+      }));
+  HEPQ_RETURN_NOT_OK(exec::FoldGroups(
+      scan.layout(), [&] { return EmptyResult(query); },
+      [&](DocQueryResult* file_total, int g) {
+        return MergeResult(file_total, partials[static_cast<size_t>(g)]);
+      },
+      [&](const DocQueryResult& file_total) {
+        return MergeResult(&result, file_total);
+      }));
 
   result.wall_seconds = wall.Seconds();
   result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = readers.TotalScanStats();
   return result;
 }
 

@@ -483,48 +483,6 @@ Status EventQueryResult::Merge(const EventQueryResult& other) {
   return Status::OK();
 }
 
-Result<EventQueryResult> EventQuery::Execute(LaqReader* reader) const {
-  obs::ScopedSpan run_span("run", obs::Stage::kRun);
-  EventQueryResult result = MakeResult();
-  const std::vector<std::string> projection = Projection();
-  const ScanPredicateSet preds = ScanPredicates();
-  reader->ResetScanStats();
-  Stopwatch wall;
-  const double cpu0 = ProcessCpuSeconds();
-  const int num_groups = reader->num_row_groups();
-  std::vector<EventQueryResult> partials(static_cast<size_t>(num_groups));
-  for (EventQueryResult& p : partials) p = MakeResult();
-  if (expr_exec_ != ExprExec::kInterpreted) HEPQ_RETURN_NOT_OK(EnsureCompiled());
-  ScratchBuffers scratch;
-  VexprScratch vexpr_scratch;
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      /*num_threads=*/1, exec::MakeRowGroupTasks(reader->metadata()),
-      [&](int /*worker*/, int g) -> Status {
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(
-            batch, reader->ReadRowGroupFiltered(g, projection, preds,
-                                                &scratch));
-        EventQueryResult& partial = partials[static_cast<size_t>(g)];
-        if (batch == nullptr) {
-          // Pruned group: every row provably fails a gating predicate.
-          partial.events_processed +=
-              reader->metadata().row_groups[static_cast<size_t>(g)].num_rows;
-          return Status::OK();
-        }
-        return ExecuteBatch(*batch, &partial, &vexpr_scratch);
-      }));
-  {
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    for (const EventQueryResult& p : partials) {
-      HEPQ_RETURN_NOT_OK(result.Merge(p));
-    }
-  }
-  result.wall_seconds = wall.Seconds();
-  result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = reader->scan_stats();
-  return result;
-}
-
 Result<EventQueryResult> EventQuery::Execute(const std::string& path,
                                              ReaderOptions reader_options,
                                              int num_threads) const {
@@ -535,62 +493,40 @@ Result<EventQueryResult> EventQuery::Execute(const std::string& path,
   Stopwatch wall;
   const double cpu0 = ProcessCpuSeconds();
 
-  // Resolving the layout up front (a footer read per dataset file) gives
-  // us the global row-group map; workers open shard readers lazily on
-  // their first task touching each file.
-  exec::DatasetLayout layout;
-  HEPQ_ASSIGN_OR_RETURN(layout,
-                        exec::ResolveDatasetLayout(path, reader_options));
-  exec::WorkerReaders readers(&layout, reader_options,
-                              std::max(num_threads, 1));
-  std::vector<exec::RowGroupTask> tasks = exec::MakeRowGroupTasks(layout);
-  const int workers = exec::EffectiveWorkers(num_threads, tasks.size());
-
-  std::vector<EventQueryResult> partials(layout.groups.size());
+  exec::DatasetScan scan;
+  HEPQ_ASSIGN_OR_RETURN(scan, exec::DatasetScan::Open(path, reader_options));
+  std::vector<EventQueryResult> partials(scan.layout().groups.size());
   for (EventQueryResult& p : partials) p = MakeResult();
   if (expr_exec_ != ExprExec::kInterpreted) HEPQ_RETURN_NOT_OK(EnsureCompiled());
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      workers, std::move(tasks), [&](int worker, int g) -> Status {
-        const exec::DatasetLayout::Group& loc =
-            layout.groups[static_cast<size_t>(g)];
-        LaqReader* reader;
-        HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker, loc.file));
+  HEPQ_ASSIGN_OR_RETURN(
+      result.scan,
+      scan.Run(num_threads, [&](const exec::ScanGroup& sg) -> Status {
         RecordBatchPtr batch;
         HEPQ_ASSIGN_OR_RETURN(
-            batch,
-            reader->ReadRowGroupFiltered(loc.local_group, projection, preds,
-                                         readers.scratch(worker)));
-        EventQueryResult& partial = partials[static_cast<size_t>(g)];
+            batch, sg.reader->ReadRowGroupFiltered(sg.loc->local_group,
+                                                   projection, preds,
+                                                   sg.scratch));
+        EventQueryResult& partial = partials[static_cast<size_t>(sg.group)];
         if (batch == nullptr) {
-          partial.events_processed += loc.num_rows;
+          // Pruned group: every row provably fails a gating predicate.
+          partial.events_processed += sg.loc->num_rows;
           return Status::OK();
         }
         // The VM's per-worker buffers live in the exec runtime's scratch
         // slot, reused across every row group this worker processes.
-        std::shared_ptr<void>& slot = readers.engine_scratch(worker);
-        if (slot == nullptr) slot = std::make_shared<VexprScratch>();
         return ExecuteBatch(*batch, &partial,
-                            static_cast<VexprScratch*>(slot.get()));
+                            sg.EngineScratch<VexprScratch>());
       }));
-  {
-    // Two-level deterministic merge: group partials fold into a per-file
-    // subtotal in local group order, subtotals fold into the result in
-    // file order. The scatter/gather coordinator reproduces exactly this
-    // association from per-shard results, so P-process runs are
-    // bit-identical to this path (see exec::DatasetLayout).
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    size_t g = 0;
-    for (int f = 0; f < layout.num_files(); ++f) {
-      EventQueryResult file_total = MakeResult();
-      for (; g < layout.groups.size() && layout.groups[g].file == f; ++g) {
-        HEPQ_RETURN_NOT_OK(file_total.Merge(partials[g]));
-      }
-      HEPQ_RETURN_NOT_OK(result.Merge(file_total));
-    }
-  }
+  HEPQ_RETURN_NOT_OK(exec::FoldGroups(
+      scan.layout(), [&] { return MakeResult(); },
+      [&](EventQueryResult* file_total, int g) {
+        return file_total->Merge(partials[static_cast<size_t>(g)]);
+      },
+      [&](const EventQueryResult& file_total) {
+        return result.Merge(file_total);
+      }));
   result.wall_seconds = wall.Seconds();
   result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = readers.TotalScanStats();
   return result;
 }
 

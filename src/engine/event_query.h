@@ -96,14 +96,9 @@ class EventQuery {
   /// EXPLAIN-style plan rendering: declarations, stages, and fills.
   std::string Explain() const;
 
-  /// Runs the query over all row groups of `reader`, single-threaded but
-  /// through the shared row-group runtime (per-group partials merged in
-  /// group order, pooled decode buffers).
-  Result<EventQueryResult> Execute(LaqReader* reader) const;
-
-  /// Parallel execution: scans `path` with up to `num_threads` workers of
-  /// the shared pool, each with its own reader and scratch buffers.
-  /// Results are bit-identical to the single-threaded overload.
+  /// Runs the query over `path` (a .laq file or a dataset directory)
+  /// through exec::DatasetScan with up to `num_threads` workers of the
+  /// shared pool. Results are bit-identical for any thread count.
   Result<EventQueryResult> Execute(const std::string& path,
                                    ReaderOptions reader_options,
                                    int num_threads) const;

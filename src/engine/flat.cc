@@ -662,56 +662,9 @@ std::string FlatPipeline::Explain() const {
   return out;
 }
 
-struct FlatPipeline::ScanSource {
-  int num_threads = 1;
-  const exec::DatasetLayout* layout = nullptr;
-  std::function<Result<LaqReader*>(int worker, int file)> reader;
-  std::function<ScratchBuffers*(int worker)> scratch;
-  std::function<VexprScratch*(int worker)> vexpr;
-  std::function<ScanStats()> scan_stats;
-};
-
-Result<FlatQueryResult> FlatPipeline::Execute(LaqReader* reader) const {
-  reader->ResetScanStats();
-  ScratchBuffers scratch;
-  VexprScratch vexpr_scratch;
-  const exec::DatasetLayout layout =
-      exec::MakeSingleFileLayout("<open reader>", reader->metadata());
-  ScanSource source;
-  source.num_threads = 1;
-  source.layout = &layout;
-  source.reader = [reader](int, int) -> Result<LaqReader*> { return reader; };
-  source.scratch = [&scratch](int) { return &scratch; };
-  source.vexpr = [&vexpr_scratch](int) { return &vexpr_scratch; };
-  source.scan_stats = [reader]() { return reader->scan_stats(); };
-  return ExecuteImpl(&source);
-}
-
 Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
                                               ReaderOptions reader_options,
                                               int num_threads) const {
-  exec::DatasetLayout layout;
-  HEPQ_ASSIGN_OR_RETURN(layout,
-                        exec::ResolveDatasetLayout(path, reader_options));
-  exec::WorkerReaders readers(&layout, reader_options,
-                              std::max(num_threads, 1));
-  ScanSource source;
-  source.num_threads = num_threads;
-  source.layout = &layout;
-  source.reader = [&readers](int worker, int file) {
-    return readers.reader(worker, file);
-  };
-  source.scratch = [&readers](int worker) { return readers.scratch(worker); };
-  source.vexpr = [&readers](int worker) -> VexprScratch* {
-    std::shared_ptr<void>& slot = readers.engine_scratch(worker);
-    if (slot == nullptr) slot = std::make_shared<VexprScratch>();
-    return static_cast<VexprScratch*>(slot.get());
-  };
-  source.scan_stats = [&readers] { return readers.TotalScanStats(); };
-  return ExecuteImpl(&source);
-}
-
-Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
   obs::ScopedSpan run_span("run", obs::Stage::kRun);
   FlatQueryResult result;
   for (const auto& [spec, expr] : fills_) {
@@ -814,7 +767,9 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
 
   plan_span.End();
 
-  const exec::DatasetLayout& layout_map = *source->layout;
+  exec::DatasetScan scan;
+  HEPQ_ASSIGN_OR_RETURN(scan, exec::DatasetScan::Open(path, reader_options));
+  const exec::DatasetLayout& layout_map = scan.layout();
   const size_t num_groups = layout_map.groups.size();
   // Event ids are global row numbers across the whole dataset: per-group
   // bases accumulated over the layout's file-major group order.
@@ -845,22 +800,19 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
   // ---- scan ----
   const std::vector<std::string> projection = Projection();
   const ScanPredicateSet preds = ScanPredicates();
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      source->num_threads, exec::MakeRowGroupTasks(layout_map),
-      [&](int worker, int g) -> Status {
-        const exec::DatasetLayout::Group& loc =
-            layout_map.groups[static_cast<size_t>(g)];
-        LaqReader* reader;
-        HEPQ_ASSIGN_OR_RETURN(reader, source->reader(worker, loc.file));
+  HEPQ_ASSIGN_OR_RETURN(
+      result.scan,
+      scan.Run(num_threads, [&](const exec::ScanGroup& sg) -> Status {
+        const int g = sg.group;
         RecordBatchPtr batch;
         HEPQ_ASSIGN_OR_RETURN(
-            batch,
-            reader->ReadRowGroupFiltered(loc.local_group, projection, preds,
-                                         source->scratch(worker)));
+            batch, sg.reader->ReadRowGroupFiltered(sg.loc->local_group,
+                                                   projection, preds,
+                                                   sg.scratch));
         if (batch == nullptr) {
           // Pruned group: no event in it can emit an output row, but the
           // events were still processed.
-          partials[static_cast<size_t>(g)].events = loc.num_rows;
+          partials[static_cast<size_t>(g)].events = sg.loc->num_rows;
           return Status::OK();
         }
         BatchBindings bindings;
@@ -868,7 +820,8 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
             bindings, BatchBindings::Bind(*batch, list_decls, scalar_decls));
         GroupPartial& p = partials[static_cast<size_t>(g)];
         FlatBatch chunk = layout;
-        VexprScratch* vs = compiled ? source->vexpr(worker) : nullptr;
+        VexprScratch* vs =
+            compiled ? sg.EngineScratch<VexprScratch>() : nullptr;
 
         auto flush_interpreted = [&]() -> Status {
           if (chunk.num_rows == 0) return Status::OK();
@@ -1009,7 +962,7 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
 
         obs::ScopedSpan loop_span("unnest_emit", obs::Stage::kEventLoop);
         if (loop_span.active()) {
-          loop_span.set_worker(worker);
+          loop_span.set_worker(sg.worker);
           loop_span.set_group(g);
         }
         const int64_t rows = batch->num_rows();
@@ -1063,58 +1016,57 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
         return Status::OK();
       }));
 
-  // ---- two-level deterministic merge ----
-  // Group partials fold into a per-file histogram subtotal in local group
-  // order, subtotals fold into the result in file order — the exact FP
-  // association a scatter/gather coordinator reproduces when it merges
-  // per-shard worker results, so P-process runs stay bit-identical (see
-  // exec::DatasetLayout).
-  obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-  size_t gi = 0;
-  for (int file = 0; file < layout_map.num_files(); ++file) {
-    std::vector<Histogram1D> file_histos;
-    file_histos.reserve(fills_.size());
-    for (const auto& [spec, expr] : fills_) file_histos.emplace_back(spec);
-    for (; gi < num_groups && layout_map.groups[gi].file == file; ++gi) {
-      GroupPartial& p = partials[gi];
-      result.events_processed += p.events;
-      result.rows_materialized += p.rows_materialized;
-      result.cells_materialized += p.cells_materialized;
-      if (!grouped) {
-        for (size_t f = 0; f < fills_.size(); ++f) {
-          HEPQ_RETURN_NOT_OK(file_histos[f].Merge(p.histos[f]));
+  // ---- two-level deterministic merge (exec::FoldGroups) ----
+  // Row counters go straight into the result; only the FP histograms
+  // need the per-file subtotal.
+  HEPQ_RETURN_NOT_OK(exec::FoldGroups(
+      layout_map,
+      [&] {
+        std::vector<Histogram1D> file_histos;
+        file_histos.reserve(fills_.size());
+        for (const auto& [spec, expr] : fills_) file_histos.emplace_back(spec);
+        return file_histos;
+      },
+      [&](std::vector<Histogram1D>* file_histos, int g) -> Status {
+        GroupPartial& p = partials[static_cast<size_t>(g)];
+        result.events_processed += p.events;
+        result.rows_materialized += p.rows_materialized;
+        result.cells_materialized += p.cells_materialized;
+        if (!grouped) {
+          for (size_t f = 0; f < fills_.size(); ++f) {
+            HEPQ_RETURN_NOT_OK((*file_histos)[f].Merge(p.histos[f]));
+          }
+          return Status::OK();
         }
-        continue;
-      }
-      // Event keys are disjoint across row groups, so concatenating the
-      // per-group aggregate outputs in group order reproduces the
-      // sequential scan's group order exactly.
-      FlatBatch groups = p.aggregator.Finish();
-      result.groups += static_cast<int64_t>(groups.num_rows);
-      for (size_t row = 0; row < groups.num_rows; ++row) {
-        bool pass = true;
-        for (const FlatExprPtr& predicate : having_) {
-          if (!predicate->EvalBool(groups, row)) {
-            pass = false;
-            break;
+        // Event keys are disjoint across row groups, so concatenating the
+        // per-group aggregate outputs in group order reproduces the
+        // sequential scan's group order exactly.
+        FlatBatch groups = p.aggregator.Finish();
+        result.groups += static_cast<int64_t>(groups.num_rows);
+        for (size_t row = 0; row < groups.num_rows; ++row) {
+          bool pass = true;
+          for (const FlatExprPtr& predicate : having_) {
+            if (!predicate->EvalBool(groups, row)) {
+              pass = false;
+              break;
+            }
+          }
+          if (!pass) continue;
+          for (size_t f = 0; f < fills_.size(); ++f) {
+            (*file_histos)[f].Fill(fills_[f].second->Eval(groups, row));
           }
         }
-        if (!pass) continue;
+        return Status::OK();
+      },
+      [&](const std::vector<Histogram1D>& file_histos) -> Status {
         for (size_t f = 0; f < fills_.size(); ++f) {
-          file_histos[f].Fill(fills_[f].second->Eval(groups, row));
+          HEPQ_RETURN_NOT_OK(result.histograms[f].Merge(file_histos[f]));
         }
-      }
-    }
-    for (size_t f = 0; f < fills_.size(); ++f) {
-      HEPQ_RETURN_NOT_OK(result.histograms[f].Merge(file_histos[f]));
-    }
-  }
-
-  merge_span.End();
+        return Status::OK();
+      }));
 
   result.wall_seconds = wall.Seconds();
   result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = source->scan_stats();
   return result;
 }
 

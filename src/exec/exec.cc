@@ -97,19 +97,6 @@ ThreadPool& ThreadPool::Shared(int min_threads) {
   return *pool;
 }
 
-std::vector<RowGroupTask> MakeRowGroupTasks(const FileMetadata& metadata) {
-  std::vector<RowGroupTask> tasks;
-  tasks.reserve(metadata.row_groups.size());
-  for (size_t g = 0; g < metadata.row_groups.size(); ++g) {
-    uint64_t bytes = 0;
-    for (const ChunkMeta& chunk : metadata.row_groups[g].chunks) {
-      bytes += chunk.compressed_size;
-    }
-    tasks.push_back(RowGroupTask{static_cast<int>(g), bytes});
-  }
-  return tasks;
-}
-
 namespace {
 
 void AppendFileGroups(DatasetLayout* layout, int file,
@@ -137,28 +124,19 @@ Result<DatasetLayout> ResolveDatasetLayout(const std::string& path,
   } else {
     layout.files.push_back(path);
   }
-  Schema first_schema;
   for (size_t f = 0; f < layout.files.size(); ++f) {
     std::unique_ptr<LaqReader> reader;
     HEPQ_ASSIGN_OR_RETURN(reader,
                           LaqReader::Open(layout.files[f], options));
     if (f == 0) {
-      first_schema = reader->schema();
-    } else if (!reader->schema().Equals(first_schema)) {
+      layout.schema = reader->schema();
+    } else if (!reader->schema().Equals(layout.schema)) {
       return Status::Invalid("dataset file '" + layout.files[f] +
                              "' has a different schema than '" +
                              layout.files[0] + "'");
     }
     AppendFileGroups(&layout, static_cast<int>(f), reader->metadata());
   }
-  return layout;
-}
-
-DatasetLayout MakeSingleFileLayout(const std::string& path,
-                                   const FileMetadata& metadata) {
-  DatasetLayout layout;
-  layout.files.push_back(path);
-  AppendFileGroups(&layout, 0, metadata);
   return layout;
 }
 
@@ -273,16 +251,9 @@ Status RunRowGroups(int num_threads, std::vector<RowGroupTask> tasks,
   return first_error;
 }
 
-WorkerReaders::WorkerReaders(std::string path, ReaderOptions options,
-                             int num_workers)
-    : options_(options) {
-  files_.push_back(std::move(path));
-  slots_.resize(static_cast<size_t>(std::max(num_workers, 1)));
-}
-
-WorkerReaders::WorkerReaders(const DatasetLayout* layout,
+WorkerReaders::WorkerReaders(const DatasetLayout& layout,
                              ReaderOptions options, int num_workers)
-    : files_(layout->files), options_(options) {
+    : files_(layout.files), options_(options) {
   slots_.resize(static_cast<size_t>(std::max(num_workers, 1)));
 }
 
@@ -311,12 +282,6 @@ Result<LaqReader*> WorkerReaders::reader(int worker, int file) {
   return slot.reader.get();
 }
 
-Result<const FileMetadata*> WorkerReaders::metadata() {
-  LaqReader* reader0;
-  HEPQ_ASSIGN_OR_RETURN(reader0, reader(0));
-  return &reader0->metadata();
-}
-
 ScanStats WorkerReaders::TotalScanStats() const {
   ScanStats total;
   for (const Slot& slot : slots_) {
@@ -324,6 +289,35 @@ ScanStats WorkerReaders::TotalScanStats() const {
     if (slot.reader != nullptr) total.Add(slot.reader->scan_stats());
   }
   return total;
+}
+
+Result<DatasetScan> DatasetScan::Open(const std::string& path,
+                                      ReaderOptions options) {
+  DatasetScan scan;
+  HEPQ_ASSIGN_OR_RETURN(scan.layout_, ResolveDatasetLayout(path, options));
+  scan.options_ = options;
+  return scan;
+}
+
+Result<ScanStats> DatasetScan::Run(
+    int num_threads,
+    const std::function<Status(const ScanGroup&)>& process) const {
+  std::vector<RowGroupTask> tasks = MakeRowGroupTasks(layout_);
+  const int workers = EffectiveWorkers(num_threads, tasks.size());
+  WorkerReaders readers(layout_, options_, workers);
+  HEPQ_RETURN_NOT_OK(RunRowGroups(
+      workers, std::move(tasks), [&](int worker, int g) -> Status {
+        ScanGroup group;
+        group.worker = worker;
+        group.group = g;
+        group.loc = &layout_.groups[static_cast<size_t>(g)];
+        HEPQ_ASSIGN_OR_RETURN(group.reader,
+                              readers.reader(worker, group.loc->file));
+        group.scratch = readers.scratch(worker);
+        group.engine_scratch = &readers.engine_scratch(worker);
+        return process(group);
+      }));
+  return readers.TotalScanStats();
 }
 
 }  // namespace hepq::exec

@@ -13,16 +13,18 @@
 
 #include "core/status.h"
 #include "fileio/reader.h"
+#include "obs/trace.h"
 
 namespace hepq::exec {
 
 // Shared parallel execution runtime used by every frontend (rdf, the two
-// SQL plan shapes, doc). Row groups are the scheduling unit, as in ROOT's
-// implicit MT and every system of the paper; the work queue is LPT-ordered
-// by row-group byte size so the largest groups start first and stragglers
-// are minimized. Each row group accumulates into its own result slot and
-// the caller merges slots in row-group order, which makes results
-// bit-identical for 1 vs N threads regardless of scheduling.
+// SQL plan shapes, doc), all of which scan through DatasetScan::Run and
+// merge through FoldGroups. Row groups are the scheduling unit, as in
+// ROOT's implicit MT and every system of the paper; the work queue is
+// LPT-ordered by row-group byte size so the largest groups start first
+// and stragglers are minimized. Each row group accumulates into its own
+// result slot and FoldGroups merges slots in layout order, which makes
+// results bit-identical for 1 vs N threads regardless of scheduling.
 
 /// A reusable fixed-size pool of worker threads. Workers are started once
 /// and parked between jobs, replacing the per-Execute thread spawning the
@@ -80,20 +82,12 @@ struct RowGroupTask {
   uint64_t bytes = 0;
 };
 
-/// Tasks for every row group of `metadata`, sized by the sum of the
-/// group's compressed chunk sizes (what a worker actually reads).
-std::vector<RowGroupTask> MakeRowGroupTasks(const FileMetadata& metadata);
-
 /// Resolved physical layout of a dataset: one .laq file, or every shard of
 /// a dataset directory, with row groups numbered globally in file-major
-/// order (file order is the sorted shard list — the same order
-/// DatasetReader, the scatter/gather coordinator, and the tools use). The
-/// layout is the frontends' one source of truth for scheduling and for
-/// the two-level deterministic merge: per-group partials fold into a
-/// per-file subtotal in local group order, and file subtotals fold into
-/// the result in file order. A P-process scatter/gather run gathers
-/// exactly those per-file subtotals in the same order, so single-process
-/// and multi-process results are bit-identical by construction.
+/// order (file order is the sorted shard list — the same order the
+/// scatter/gather coordinator and the tools use). The layout is the
+/// frontends' one source of truth for scheduling and for the two-level
+/// deterministic merge of FoldGroups.
 struct DatasetLayout {
   struct Group {
     int file = 0;         // index into `files`
@@ -104,6 +98,7 @@ struct DatasetLayout {
   std::vector<std::string> files;
   std::vector<Group> groups;  // global group order: file-major
   int64_t total_rows = 0;
+  Schema schema;  // shared by every file (checked when resolving)
 
   int num_files() const { return static_cast<int>(files.size()); }
   int num_groups() const { return static_cast<int>(groups.size()); }
@@ -114,10 +109,6 @@ struct DatasetLayout {
 /// share the first file's schema.
 Result<DatasetLayout> ResolveDatasetLayout(const std::string& path,
                                            const ReaderOptions& options);
-
-/// Layout of one already-open file (the single-reader execution paths).
-DatasetLayout MakeSingleFileLayout(const std::string& path,
-                                   const FileMetadata& metadata);
 
 /// Tasks for every global row group of `layout`.
 std::vector<RowGroupTask> MakeRowGroupTasks(const DatasetLayout& layout);
@@ -152,12 +143,7 @@ Status RunRowGroups(int num_threads, std::vector<RowGroupTask> tasks,
 /// runtime).
 class WorkerReaders {
  public:
-  /// Single-file dataset (the pre-dataset constructor, kept for callers
-  /// that schedule over one file's metadata).
-  WorkerReaders(std::string path, ReaderOptions options, int num_workers);
-
-  /// Dataset-aware: `layout` must outlive the WorkerReaders.
-  WorkerReaders(const DatasetLayout* layout, ReaderOptions options,
+  WorkerReaders(const DatasetLayout& layout, ReaderOptions options,
                 int num_workers);
 
   /// The worker's reader over dataset file `file`, opened on first use.
@@ -165,9 +151,6 @@ class WorkerReaders {
   /// run. Opening a different file than the slot currently holds closes
   /// the held reader (its ScanStats are retained).
   Result<LaqReader*> reader(int worker, int file);
-
-  /// The worker's reader over file 0 (single-file datasets).
-  Result<LaqReader*> reader(int worker) { return reader(worker, 0); }
 
   /// The worker's scratch buffer pool.
   ScratchBuffers* scratch(int worker) {
@@ -185,9 +168,6 @@ class WorkerReaders {
   std::shared_ptr<void>& engine_scratch(int worker) {
     return slots_[static_cast<size_t>(worker)].engine_scratch;
   }
-
-  /// Metadata of file 0, via worker 0's reader (opens it if needed).
-  Result<const FileMetadata*> metadata();
 
   /// Sum of the scan stats of every reader this run opened, including
   /// readers already closed by a file switch. Integer counters, so the
@@ -208,6 +188,78 @@ class WorkerReaders {
   ReaderOptions options_;
   std::vector<Slot> slots_;
 };
+
+/// One row group handed to a frontend by DatasetScan::Run: which worker
+/// runs it, where it sits in the layout, and that worker's reader and
+/// pooled buffers.
+struct ScanGroup {
+  int worker = 0;
+  int group = 0;  // global index into DatasetLayout::groups
+  const DatasetLayout::Group* loc = nullptr;
+  LaqReader* reader = nullptr;  // the worker's reader over loc->file
+  ScratchBuffers* scratch = nullptr;
+  std::shared_ptr<void>* engine_scratch = nullptr;
+
+  /// The worker's engine state (WorkerReaders::engine_scratch) as a `T`,
+  /// created on the worker's first row group.
+  template <typename T>
+  T* EngineScratch() const {
+    if (*engine_scratch == nullptr) *engine_scratch = std::make_shared<T>();
+    return static_cast<T*>(engine_scratch->get());
+  }
+};
+
+/// The one dataset scan every frontend runs through: a resolved layout
+/// plus the reader options to scan it with.
+class DatasetScan {
+ public:
+  DatasetScan() = default;
+
+  /// Resolves `path` (ResolveDatasetLayout).
+  static Result<DatasetScan> Open(const std::string& path,
+                                  ReaderOptions options);
+
+  const DatasetLayout& layout() const { return layout_; }
+
+  /// Runs process(group) for every row group of the layout through
+  /// RunRowGroups (LPT order, deterministic first error) with
+  /// EffectiveWorkers(num_threads, groups) workers, each with its own
+  /// WorkerReaders slot. Returns the summed scan stats of the run.
+  Result<ScanStats> Run(
+      int num_threads,
+      const std::function<Status(const ScanGroup& group)>& process) const;
+
+ private:
+  DatasetLayout layout_;
+  ReaderOptions options_;
+};
+
+/// The two-level deterministic merge of per-group partials: groups fold
+/// into a per-file subtotal in local group order, and file subtotals fold
+/// into the result in file order. A P-process scatter/gather run gathers
+/// exactly those per-file subtotals in the same order, so single-process
+/// and multi-process results are bit-identical by construction — for any
+/// thread count, since the order never depends on scheduling.
+///
+/// make_subtotal() returns an empty subtotal; add_group(&subtotal, group)
+/// adds global group `group`'s partial to it; add_subtotal(subtotal) adds
+/// a finished file subtotal to the result.
+template <typename MakeSubtotal, typename AddGroup, typename AddSubtotal>
+Status FoldGroups(const DatasetLayout& layout,
+                  const MakeSubtotal& make_subtotal,
+                  const AddGroup& add_group,
+                  const AddSubtotal& add_subtotal) {
+  obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
+  size_t g = 0;
+  for (int file = 0; file < layout.num_files(); ++file) {
+    auto subtotal = make_subtotal();
+    for (; g < layout.groups.size() && layout.groups[g].file == file; ++g) {
+      HEPQ_RETURN_NOT_OK(add_group(&subtotal, static_cast<int>(g)));
+    }
+    HEPQ_RETURN_NOT_OK(add_subtotal(subtotal));
+  }
+  return Status::OK();
+}
 
 }  // namespace hepq::exec
 

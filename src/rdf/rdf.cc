@@ -95,20 +95,12 @@ SumHandle RNode::Sum(std::function<double(const EventView&)> value) {
 Result<std::unique_ptr<RDataFrame>> RDataFrame::Open(const std::string& path,
                                                      RdfOptions options) {
   // `path` is a .laq file or a sharded dataset directory. The resolved
-  // layout is the run's source of truth; the first file stays open as the
-  // schema source for leaf declarations (all shards share its schema —
-  // ResolveDatasetLayout enforces that).
-  exec::DatasetLayout layout;
-  HEPQ_ASSIGN_OR_RETURN(layout,
-                        exec::ResolveDatasetLayout(path, options.reader));
-  std::unique_ptr<LaqReader> reader;
-  HEPQ_ASSIGN_OR_RETURN(reader,
-                        LaqReader::Open(layout.files[0], options.reader));
-  auto df = std::unique_ptr<RDataFrame>(
-      new RDataFrame(std::move(reader), options));
-  df->path_ = path;
-  df->layout_ = std::move(layout);
-  return df;
+  // layout is the run's source of truth, including the schema leaf
+  // declarations resolve against (shared by every shard).
+  exec::DatasetScan scan;
+  HEPQ_ASSIGN_OR_RETURN(scan, exec::DatasetScan::Open(path, options.reader));
+  return std::unique_ptr<RDataFrame>(
+      new RDataFrame(std::move(scan), options.num_threads));
 }
 
 Status RDataFrame::DeclareLeaf(const std::string& leaf_path, bool particle,
@@ -127,7 +119,7 @@ Status RDataFrame::DeclareLeaf(const std::string& leaf_path, bool particle,
       return Status::OK();
     }
   }
-  const Schema& schema = reader_->schema();
+  const Schema& schema = scan_.layout().schema;
   const size_t dot = leaf_path.find('.');
   const std::string column = dot == std::string::npos
                                  ? leaf_path
@@ -337,7 +329,7 @@ Status RDataFrame::Run() {
   if (projection.empty()) {
     // Actions that touch no columns (e.g. a bare Count) still need a scan
     // driver; read the cheapest scalar column.
-    projection.push_back(reader_->schema().field(0).name);
+    projection.push_back(scan_.layout().schema.field(0).name);
   }
 
   results_.assign(bookings_.size(), Histogram1D{});
@@ -350,28 +342,50 @@ Status RDataFrame::Run() {
     }
   }
 
-  const int num_groups = layout_.num_groups();
-  std::vector<exec::RowGroupTask> tasks = exec::MakeRowGroupTasks(layout_);
-  const int workers =
-      exec::EffectiveWorkers(options_.num_threads, tasks.size());
+  const exec::DatasetLayout& layout = scan_.layout();
+  const int num_groups = layout.num_groups();
 
-  // Every row group accumulates into its own slot; the merge below runs in
-  // ascending group order. Scheduling therefore never changes the result:
-  // 1 and N threads are bit-identical.
-  struct GroupPartial {
+  // Every row group accumulates into its own slot, and exec::FoldGroups
+  // merges the slots in layout order. Scheduling therefore never changes
+  // the result: 1 and N threads are bit-identical. The same struct holds
+  // the per-file subtotals and the final total.
+  struct Partial {
     std::vector<Histogram1D> histos;
     std::vector<int64_t> counts;
     std::vector<double> sums;
     std::vector<NodeCounters> nodes;
     int64_t events = 0;
   };
-  std::vector<GroupPartial> partials(static_cast<size_t>(num_groups));
-  for (GroupPartial& p : partials) {
+  const auto empty_partial = [&] {
+    Partial p;
     p.histos = results_;
     p.counts.assign(bookings_.size(), 0);
     p.sums.assign(bookings_.size(), 0.0);
     p.nodes.assign(nodes_.size(), NodeCounters{});
-  }
+    return p;
+  };
+  // Histograms AND sums are FP, so the fold order matters for them;
+  // counts and node counters are integers but flow through the same
+  // structure for uniformity.
+  const auto add = [&](Partial* into, const Partial& p) -> Status {
+    for (size_t b = 0; b < bookings_.size(); ++b) {
+      if (bookings_[b].is_count) {
+        into->counts[b] += p.counts[b];
+      } else if (bookings_[b].is_sum) {
+        into->sums[b] += p.sums[b];
+      } else {
+        HEPQ_RETURN_NOT_OK(into->histos[b].Merge(p.histos[b]));
+      }
+    }
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+      into->nodes[n].examined += p.nodes[n].examined;
+      into->nodes[n].passed += p.nodes[n].passed;
+    }
+    into->events += p.events;
+    return Status::OK();
+  };
+  std::vector<Partial> partials(static_cast<size_t>(num_groups));
+  for (Partial& p : partials) p = empty_partial();
 
   // Scan hint: the hint of a filter sitting directly below the root and
   // above every booked action gates all output, so a row group its hint
@@ -405,30 +419,27 @@ Status RDataFrame::Run() {
   const ScanPredicateSet& preds =
       hint_node >= 0 ? nodes_[static_cast<size_t>(hint_node)].hint : no_hint;
 
-  exec::WorkerReaders readers(&layout_, options_.reader, workers);
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      workers, std::move(tasks), [&](int worker, int g) -> Status {
-        const exec::DatasetLayout::Group& loc =
-            layout_.groups[static_cast<size_t>(g)];
-        LaqReader* reader;
-        HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker, loc.file));
+  HEPQ_ASSIGN_OR_RETURN(
+      run_stats_.scan,
+      scan_.Run(num_threads_, [&](const exec::ScanGroup& sg) -> Status {
         RecordBatchPtr batch;
         HEPQ_ASSIGN_OR_RETURN(
-            batch,
-            reader->ReadRowGroupFiltered(loc.local_group, projection, preds,
-                                         readers.scratch(worker)));
-        GroupPartial& p = partials[static_cast<size_t>(g)];
+            batch, sg.reader->ReadRowGroupFiltered(sg.loc->local_group,
+                                                   projection, preds,
+                                                   sg.scratch));
+        Partial& p = partials[static_cast<size_t>(sg.group)];
         if (batch == nullptr) {
           // Pruned group: every row reaches the hinted filter and fails
           // it, so only that node's examined counter moves.
-          p.events = loc.num_rows;
-          p.nodes[static_cast<size_t>(hint_node)].examined += loc.num_rows;
+          p.events = sg.loc->num_rows;
+          p.nodes[static_cast<size_t>(hint_node)].examined +=
+              sg.loc->num_rows;
           return Status::OK();
         }
         obs::ScopedSpan loop_span("rdf_event_loop", obs::Stage::kEventLoop);
         if (loop_span.active()) {
-          loop_span.set_worker(worker);
-          loop_span.set_group(g);
+          loop_span.set_worker(sg.worker);
+          loop_span.set_group(sg.group);
         }
         HEPQ_RETURN_NOT_OK(
             ProcessRowGroup(*batch, &p.histos, &p.counts, &p.sums, &p.nodes));
@@ -436,49 +447,18 @@ Status RDataFrame::Run() {
         return Status::OK();
       }));
 
-  {
-    // Two-level deterministic merge: per-file subtotals in local group
-    // order, then file subtotals in file order — the FP association a
-    // scatter/gather coordinator reproduces from per-shard worker results,
-    // keeping P-process runs bit-identical (see exec::DatasetLayout).
-    // Histograms AND sums are FP; counts and node counters are integers
-    // but flow through the same structure for uniformity.
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    const std::vector<Histogram1D> histo_proto = results_;
-    size_t g = 0;
-    for (int file = 0; file < layout_.num_files(); ++file) {
-      std::vector<Histogram1D> file_histos = histo_proto;
-      std::vector<int64_t> file_counts(bookings_.size(), 0);
-      std::vector<double> file_sums(bookings_.size(), 0.0);
-      for (; g < partials.size() && layout_.groups[g].file == file; ++g) {
-        const GroupPartial& p = partials[g];
-        for (size_t b = 0; b < bookings_.size(); ++b) {
-          if (bookings_[b].is_count) {
-            file_counts[b] += p.counts[b];
-          } else if (bookings_[b].is_sum) {
-            file_sums[b] += p.sums[b];
-          } else {
-            HEPQ_RETURN_NOT_OK(file_histos[b].Merge(p.histos[b]));
-          }
-        }
-        for (size_t n = 0; n < nodes_.size(); ++n) {
-          node_counters_[n].examined += p.nodes[n].examined;
-          node_counters_[n].passed += p.nodes[n].passed;
-        }
-        run_stats_.events_processed += p.events;
-      }
-      for (size_t b = 0; b < bookings_.size(); ++b) {
-        if (bookings_[b].is_count) {
-          count_results_[b] += file_counts[b];
-        } else if (bookings_[b].is_sum) {
-          sum_results_[b] += file_sums[b];
-        } else {
-          HEPQ_RETURN_NOT_OK(results_[b].Merge(file_histos[b]));
-        }
-      }
-    }
-  }
-  run_stats_.scan = readers.TotalScanStats();
+  Partial total = empty_partial();
+  HEPQ_RETURN_NOT_OK(exec::FoldGroups(
+      layout, empty_partial,
+      [&](Partial* file_total, int g) {
+        return add(file_total, partials[static_cast<size_t>(g)]);
+      },
+      [&](const Partial& file_total) { return add(&total, file_total); }));
+  results_ = std::move(total.histos);
+  count_results_ = std::move(total.counts);
+  sum_results_ = std::move(total.sums);
+  node_counters_ = std::move(total.nodes);
+  run_stats_.events_processed = total.events;
 
   run_stats_.wall_seconds = wall.Seconds();
   run_stats_.cpu_seconds = ProcessCpuSeconds() - cpu0;

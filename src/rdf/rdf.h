@@ -251,16 +251,16 @@ class RDataFrame {
   /// order (the root is omitted). Only valid after Run().
   std::vector<FilterReport> Report() const;
   const RdfRunStats& run_stats() const { return run_stats_; }
-  int64_t total_rows() const { return layout_.total_rows; }
-  int num_row_groups() const { return layout_.num_groups(); }
+  int64_t total_rows() const { return scan_.layout().total_rows; }
+  int num_row_groups() const { return scan_.layout().num_groups(); }
 
  private:
   friend class RNode;
   struct Booking;
   struct Node;
 
-  explicit RDataFrame(std::unique_ptr<LaqReader> reader, RdfOptions options)
-      : reader_(std::move(reader)), options_(options) {
+  RDataFrame(exec::DatasetScan scan, int num_threads)
+      : scan_(std::move(scan)), num_threads_(num_threads) {
     nodes_.push_back(Node{});  // root
   }
 
@@ -313,10 +313,8 @@ class RDataFrame {
                          std::vector<double>* sums,
                          std::vector<NodeCounters>* node_counters) const;
 
-  std::unique_ptr<LaqReader> reader_;  // first dataset file (schema source)
-  std::string path_;
-  exec::DatasetLayout layout_;
-  RdfOptions options_;
+  exec::DatasetScan scan_;
+  int num_threads_ = 1;
   std::vector<DeclaredLeaf> leaves_;
   std::vector<internal::DefineSlot> defines_;
   std::vector<internal::VecDefineSlot> vec_defines_;

@@ -1,8 +1,9 @@
 #include <sys/stat.h>
 
+#include <fstream>
+
 #include <gtest/gtest.h>
 
-#include "columnar/builder.h"
 #include "datagen/generator.h"
 #include "fileio/dataset_reader.h"
 #include "fileio/writer.h"
@@ -10,133 +11,63 @@
 namespace hepq {
 namespace {
 
-class DatasetReaderTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    dir_ = new std::string(::testing::TempDir() + "/hepq_multifile");
-    ::mkdir(dir_->c_str(), 0755);
-    // Three files with 2, 1, and 3 row groups (300 rows each).
-    EventGenerator generator;
-    WriterOptions options;
-    options.row_group_size = 300;
-    const int groups_per_file[] = {2, 1, 3};
-    for (int f = 0; f < 3; ++f) {
-      std::vector<RecordBatchPtr> batches;
-      for (int g = 0; g < groups_per_file[f]; ++g) {
-        batches.push_back(generator.GenerateBatch(300));
-      }
-      const std::string path =
-          *dir_ + "/part-" + std::to_string(f) + ".laq";
-      WriteLaqFile(path, EventGenerator::CmsSchema(), batches, options)
-          .Check();
-    }
-  }
+// fileio/dataset_reader.h keeps the directory helpers every dataset-aware
+// caller shares: IsDirectory and ListLaqFiles. The dataset-level scan
+// behaviours (layout, global group numbering, summed scan stats) are tested
+// on exec::DatasetScan in exec_test.
 
-  static std::string* dir_;
-};
-
-std::string* DatasetReaderTest::dir_ = nullptr;
-
-TEST_F(DatasetReaderTest, OpenDirectoryFindsAllParts) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_);
-  ASSERT_TRUE(dataset.ok());
-  EXPECT_EQ((*dataset)->num_files(), 3);
-  EXPECT_EQ((*dataset)->num_row_groups(), 6);
-  EXPECT_EQ((*dataset)->total_rows(), 1800);
-  EXPECT_TRUE((*dataset)->schema().Equals(*EventGenerator::CmsSchema()));
+void WriteSmallLaq(const std::string& path) {
+  EventGenerator generator;
+  WriteLaqFile(path, EventGenerator::CmsSchema(),
+               {generator.GenerateBatch(10)})
+      .Check();
 }
 
-TEST_F(DatasetReaderTest, GlobalRowGroupsSpanFiles) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_).ValueOrDie();
-  // Events were generated sequentially, so the first event id of global
-  // group g is 300 * g regardless of file boundaries.
-  for (int g = 0; g < dataset->num_row_groups(); ++g) {
-    auto batch = dataset->ReadRowGroup(g, {"event"});
-    ASSERT_TRUE(batch.ok()) << "group " << g;
-    EXPECT_EQ((*batch)->num_rows(), 300);
-    const auto& ids =
-        static_cast<const Int64Array&>(*(*batch)->ColumnByName("event"));
-    EXPECT_EQ(ids.Value(0), 300 * g) << "group " << g;
-  }
+TEST(DatasetReaderTest, IsDirectoryDistinguishesDirsFilesAndMissing) {
+  const std::string dir = ::testing::TempDir() + "/hepq_isdir";
+  ::mkdir(dir.c_str(), 0755);
+  const std::string file = dir + "/one.laq";
+  WriteSmallLaq(file);
+  EXPECT_TRUE(IsDirectory(dir));
+  EXPECT_FALSE(IsDirectory(file));
+  EXPECT_FALSE(IsDirectory(dir + "/no_such"));
 }
 
-TEST_F(DatasetReaderTest, OutOfRangeGroup) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_).ValueOrDie();
-  EXPECT_EQ(dataset->ReadRowGroup(6).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(dataset->ReadRowGroup(-1).status().code(),
-            StatusCode::kOutOfRange);
+TEST(DatasetReaderTest, ListLaqFilesSortsByNameAndSkipsOtherFiles) {
+  const std::string dir = ::testing::TempDir() + "/hepq_list_laq";
+  ::mkdir(dir.c_str(), 0755);
+  // Written out of name order, next to files that are not shards.
+  WriteSmallLaq(dir + "/part-2.laq");
+  WriteSmallLaq(dir + "/part-0.laq");
+  WriteSmallLaq(dir + "/part-1.laq");
+  std::ofstream(dir + "/notes.txt") << "not a shard";
+  std::ofstream(dir + "/part-3.laq.tmp") << "partial write";
+  std::ofstream(dir + "/.laq") << "no stem";
+
+  const auto files = ListLaqFiles(dir);
+  ASSERT_TRUE(files.ok()) << files.status().message();
+  const std::vector<std::string> expected = {
+      dir + "/part-0.laq", dir + "/part-1.laq", dir + "/part-2.laq"};
+  EXPECT_EQ(*files, expected);
 }
 
-TEST_F(DatasetReaderTest, ScanStatsAggregateAcrossFiles) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_).ValueOrDie();
-  for (int g = 0; g < dataset->num_row_groups(); ++g) {
-    ASSERT_TRUE(dataset->ReadRowGroup(g, {"MET.pt"}).ok());
-  }
-  const ScanStats stats = dataset->scan_stats();
-  EXPECT_EQ(stats.values_read, 1800u);
-  EXPECT_GT(stats.storage_bytes, 0u);
-  dataset->ResetScanStats();
-  EXPECT_EQ(dataset->scan_stats().values_read, 0u);
-}
-
-TEST_F(DatasetReaderTest, RejectsSchemaMismatch) {
-  const std::string other = ::testing::TempDir() + "/other_schema.laq";
-  auto schema = std::make_shared<Schema>(
-      std::vector<Field>{{"x", DataType::Int32()}});
-  auto batch =
-      RecordBatch::Make(schema, {MakeInt32Array({1})}).ValueOrDie();
-  WriteLaqFile(other, schema, {RecordBatchPtr(batch)}).Check();
-  auto dataset =
-      DatasetReader::Open({*dir_ + "/part-0.laq", other});
-  EXPECT_EQ(dataset.status().code(), StatusCode::kInvalid);
-}
-
-TEST_F(DatasetReaderTest, ErrorsOnEmptyInputs) {
-  EXPECT_FALSE(DatasetReader::Open({}).ok());
-  // A nonexistent directory and a directory with no .laq files both fail
-  // with Invalid, and the message names the offending path.
-  const std::string missing = ::testing::TempDir() + "/no_such";
-  const auto no_such = DatasetReader::OpenDirectory(missing);
+TEST(DatasetReaderTest, ListLaqFilesRejectsMissingAndEmptyDirectories) {
+  const std::string missing = ::testing::TempDir() + "/hepq_list_missing";
+  const auto no_such = ListLaqFiles(missing);
   EXPECT_EQ(no_such.status().code(), StatusCode::kInvalid);
   EXPECT_NE(no_such.status().message().find(missing), std::string::npos)
       << no_such.status().message();
-  const std::string empty_dir = ::testing::TempDir() + "/hepq_empty_dir";
+
+  const std::string empty_dir = ::testing::TempDir() + "/hepq_list_empty";
   ::mkdir(empty_dir.c_str(), 0755);
-  const auto empty = DatasetReader::OpenDirectory(empty_dir);
+  std::ofstream(empty_dir + "/readme.txt") << "no shards here";
+  const auto empty = ListLaqFiles(empty_dir);
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalid);
   EXPECT_NE(empty.status().message().find(empty_dir), std::string::npos)
       << empty.status().message();
   EXPECT_NE(empty.status().message().find("no .laq files"),
             std::string::npos)
       << empty.status().message();
-}
-
-TEST_F(DatasetReaderTest, OpenDirectoryRejectsSchemaMismatch) {
-  const std::string mixed_dir = ::testing::TempDir() + "/hepq_mixed_schema";
-  ::mkdir(mixed_dir.c_str(), 0755);
-  auto schema = std::make_shared<Schema>(
-      std::vector<Field>{{"x", DataType::Int32()}});
-  auto batch =
-      RecordBatch::Make(schema, {MakeInt32Array({1})}).ValueOrDie();
-  WriteLaqFile(mixed_dir + "/a.laq", schema, {RecordBatchPtr(batch)})
-      .Check();
-  EventGenerator generator;
-  WriteLaqFile(mixed_dir + "/b.laq", EventGenerator::CmsSchema(),
-               {generator.GenerateBatch(10)})
-      .Check();
-  const auto dataset = DatasetReader::OpenDirectory(mixed_dir);
-  EXPECT_EQ(dataset.status().code(), StatusCode::kInvalid);
-  EXPECT_NE(dataset.status().message().find("schema"), std::string::npos)
-      << dataset.status().message();
-}
-
-TEST_F(DatasetReaderTest, PerFilePruningStillAvailable) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_).ValueOrDie();
-  // File 0 holds events 0..599: pruning on its reader works as usual.
-  auto groups = dataset->file(0).SelectRowGroups("event", 0.0, 100.0);
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(*groups, std::vector<int>{0});
 }
 
 }  // namespace

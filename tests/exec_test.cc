@@ -1,7 +1,9 @@
 // Tests for the shared parallel execution runtime (src/exec) and for the
 // determinism contract it gives every frontend: results are bit-identical
 // for any thread count because each row group accumulates into its own
-// slot and slots merge in ascending group order.
+// slot and FoldGroups merges the slots in layout order.
+
+#include <sys/stat.h>
 
 #include <atomic>
 #include <string>
@@ -9,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "columnar/builder.h"
 #include "datagen/dataset.h"
+#include "datagen/generator.h"
 #include "exec/exec.h"
 #include "fileio/dataset_reader.h"
+#include "fileio/writer.h"
 #include "queries/adl.h"
 
 namespace hepq {
@@ -72,6 +77,41 @@ TEST(SchedulingTest, EffectiveWorkersClampsToTasksAndOne) {
   EXPECT_EQ(exec::EffectiveWorkers(0, 5), 1);
   EXPECT_EQ(exec::EffectiveWorkers(-3, 5), 1);
   EXPECT_EQ(exec::EffectiveWorkers(4, 0), 1);
+}
+
+/// FoldGroups must fold per-file subtotals in local group order and then
+/// the subtotals in file order — neither the LPT dispatch order nor one
+/// flat pass over the groups. String concatenation is non-commutative and
+/// non-associative under the bracketing, so any other order shows.
+TEST(FoldGroupsTest, FoldsPerFileThenFileOrder) {
+  exec::DatasetLayout layout;
+  layout.files = {"a.laq", "b.laq", "c.laq"};
+  const int groups_per_file[] = {2, 1, 3};
+  uint64_t bytes = 1;  // ascending: LPT runs the last group first
+  for (int f = 0; f < 3; ++f) {
+    for (int local = 0; local < groups_per_file[f]; ++local) {
+      layout.groups.push_back({f, local, 10, bytes++});
+    }
+  }
+  std::vector<exec::RowGroupTask> lpt = exec::MakeRowGroupTasks(layout);
+  exec::SortLpt(&lpt);
+  ASSERT_EQ(lpt.front().group, 5);  // LPT order differs from layout order
+
+  const std::string partials[] = {"a", "b", "c", "d", "e", "f"};
+  std::string result = "<";
+  ASSERT_TRUE(exec::FoldGroups(
+                  layout, [] { return std::string(); },
+                  [&](std::string* subtotal, int g) {
+                    *subtotal += partials[g];
+                    return Status::OK();
+                  },
+                  [&](const std::string& subtotal) {
+                    result += "[" + subtotal + "]";
+                    return Status::OK();
+                  })
+                  .ok());
+  result += ">";
+  EXPECT_EQ(result, "<[ab][c][def]>");
 }
 
 TEST(RunRowGroupsTest, ProcessesEveryGroupOnce) {
@@ -168,11 +208,12 @@ class ExecDatasetTest : public ::testing::Test {
 std::string* ExecDatasetTest::path_ = nullptr;
 
 TEST_F(ExecDatasetTest, WorkerReadersShareFileDisjointHandles) {
-  exec::WorkerReaders readers(*path_, ReaderOptions{}, 3);
-  const FileMetadata* metadata = readers.metadata().ValueOrDie();
-  EXPECT_EQ(metadata->row_groups.size(), 4u);
-  LaqReader* r0 = readers.reader(0).ValueOrDie();
-  LaqReader* r2 = readers.reader(2).ValueOrDie();
+  const exec::DatasetLayout layout =
+      exec::ResolveDatasetLayout(*path_, ReaderOptions{}).ValueOrDie();
+  EXPECT_EQ(layout.num_groups(), 4);
+  exec::WorkerReaders readers(layout, ReaderOptions{}, 3);
+  LaqReader* r0 = readers.reader(0, 0).ValueOrDie();
+  LaqReader* r2 = readers.reader(2, 0).ValueOrDie();
   EXPECT_NE(r0, r2);
   EXPECT_NE(readers.scratch(0), readers.scratch(2));
   // Stats from all opened readers sum into the total.
@@ -185,13 +226,15 @@ TEST_F(ExecDatasetTest, WorkerReadersShareFileDisjointHandles) {
 }
 
 TEST_F(ExecDatasetTest, MakeRowGroupTasksSizesByCompressedBytes) {
-  exec::WorkerReaders readers(*path_, ReaderOptions{}, 1);
-  const FileMetadata* metadata = readers.metadata().ValueOrDie();
-  const auto tasks = exec::MakeRowGroupTasks(*metadata);
-  ASSERT_EQ(tasks.size(), metadata->row_groups.size());
+  const exec::DatasetLayout layout =
+      exec::ResolveDatasetLayout(*path_, ReaderOptions{}).ValueOrDie();
+  auto reader = LaqReader::Open(*path_).ValueOrDie();
+  const FileMetadata& metadata = reader->metadata();
+  const auto tasks = exec::MakeRowGroupTasks(layout);
+  ASSERT_EQ(tasks.size(), metadata.row_groups.size());
   for (size_t g = 0; g < tasks.size(); ++g) {
     uint64_t bytes = 0;
-    for (const ChunkMeta& chunk : metadata->row_groups[g].chunks) {
+    for (const ChunkMeta& chunk : metadata.row_groups[g].chunks) {
       bytes += chunk.compressed_size;
     }
     EXPECT_EQ(tasks[g].group, static_cast<int>(g));
@@ -272,6 +315,7 @@ TEST_F(ExecShardedTest, ResolveDatasetLayoutNumbersGroupsGlobally) {
   EXPECT_EQ(layout->num_files(), 3);
   EXPECT_EQ(layout->num_groups(), 9);
   EXPECT_EQ(layout->total_rows, 1500);
+  EXPECT_TRUE(layout->schema.Equals(*EventGenerator::CmsSchema()));
   // Groups are ordered file-major with local indices restarting per file,
   // and carry real row counts and nonzero byte sizes for LPT scheduling.
   int expected_file = 0;
@@ -303,7 +347,7 @@ TEST_F(ExecShardedTest, ResolveDatasetLayoutOnSingleFile) {
 TEST_F(ExecShardedTest, WorkerReadersSwitchFilesAndBankStats) {
   auto layout =
       exec::ResolveDatasetLayout(*dataset_, ReaderOptions{}).ValueOrDie();
-  exec::WorkerReaders readers(&layout, ReaderOptions{}, 2);
+  exec::WorkerReaders readers(layout, ReaderOptions{}, 2);
   // One worker visits every file in turn (out-of-core: one open shard per
   // worker slot); stats from closed readers must not be lost.
   for (int file = 0; file < layout.num_files(); ++file) {
@@ -345,6 +389,112 @@ TEST_F(ExecShardedTest, DirectoryRunsBitIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-file datasets with uneven shards: DatasetScan and layout errors.
+// ---------------------------------------------------------------------------
+
+class ExecMultiFileTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dir_ = new std::string(::testing::TempDir() + "/hepq_exec_multifile");
+    ::mkdir(dir_->c_str(), 0755);
+    // Three files with 2, 1, and 3 row groups (300 rows each), events
+    // generated sequentially across files.
+    EventGenerator generator;
+    WriterOptions options;
+    options.row_group_size = 300;
+    const int groups_per_file[] = {2, 1, 3};
+    for (int f = 0; f < 3; ++f) {
+      std::vector<RecordBatchPtr> batches;
+      for (int g = 0; g < groups_per_file[f]; ++g) {
+        batches.push_back(generator.GenerateBatch(300));
+      }
+      const std::string path =
+          *dir_ + "/part-" + std::to_string(f) + ".laq";
+      WriteLaqFile(path, EventGenerator::CmsSchema(), batches, options)
+          .Check();
+    }
+  }
+
+  static std::string* dir_;
+};
+
+std::string* ExecMultiFileTest::dir_ = nullptr;
+
+/// Every global group reaches the callback exactly once with the right
+/// file-local position and reader, and the returned stats sum the reads
+/// of every worker over every file.
+TEST_F(ExecMultiFileTest, DatasetScanVisitsGlobalGroupsAndSumsStats) {
+  auto scan = exec::DatasetScan::Open(*dir_, ReaderOptions{});
+  ASSERT_TRUE(scan.ok()) << scan.status().message();
+  const exec::DatasetLayout& layout = scan->layout();
+  ASSERT_EQ(layout.num_files(), 3);
+  ASSERT_EQ(layout.num_groups(), 6);
+  EXPECT_EQ(layout.total_rows, 1800);
+  for (int threads : {1, 3}) {
+    std::vector<int64_t> first_event(6, -1);
+    auto stats = scan->Run(threads, [&](const exec::ScanGroup& sg) -> Status {
+      EXPECT_EQ(sg.loc, &layout.groups[static_cast<size_t>(sg.group)]);
+      EXPECT_LT(sg.worker, threads);
+      RecordBatchPtr batch;
+      HEPQ_ASSIGN_OR_RETURN(
+          batch, sg.reader->ReadRowGroup(sg.loc->local_group,
+                                         {"event", "MET.pt"}, sg.scratch));
+      const auto& ids =
+          static_cast<const Int64Array&>(*batch->ColumnByName("event"));
+      first_event[static_cast<size_t>(sg.group)] = ids.Value(0);
+      return Status::OK();
+    });
+    ASSERT_TRUE(stats.ok()) << stats.status().message();
+    // Events were generated sequentially, so the first event id of global
+    // group g is 300 * g regardless of file boundaries.
+    for (int g = 0; g < 6; ++g) {
+      EXPECT_EQ(first_event[static_cast<size_t>(g)], 300 * g)
+          << "threads " << threads << " group " << g;
+    }
+    EXPECT_EQ(stats->values_read, 2u * 1800u) << "threads " << threads;
+    EXPECT_GT(stats->storage_bytes, 0u);
+  }
+}
+
+TEST_F(ExecMultiFileTest, LayoutRejectsSchemaMismatch) {
+  const std::string mixed_dir = ::testing::TempDir() + "/hepq_mixed_schema";
+  ::mkdir(mixed_dir.c_str(), 0755);
+  auto schema = std::make_shared<Schema>(
+      std::vector<Field>{{"x", DataType::Int32()}});
+  auto batch =
+      RecordBatch::Make(schema, {MakeInt32Array({1})}).ValueOrDie();
+  WriteLaqFile(mixed_dir + "/a.laq", schema, {RecordBatchPtr(batch)})
+      .Check();
+  EventGenerator generator;
+  WriteLaqFile(mixed_dir + "/b.laq", EventGenerator::CmsSchema(),
+               {generator.GenerateBatch(10)})
+      .Check();
+  const auto layout = exec::ResolveDatasetLayout(mixed_dir, ReaderOptions{});
+  EXPECT_EQ(layout.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(layout.status().message().find("schema"), std::string::npos)
+      << layout.status().message();
+}
+
+TEST_F(ExecMultiFileTest, MissingOrEmptyDirectoryNamesThePath) {
+  // A nonexistent directory and a directory with no .laq files both fail
+  // with Invalid, and the message names the offending path.
+  const std::string missing = ::testing::TempDir() + "/no_such";
+  const auto no_such = ListLaqFiles(missing);
+  EXPECT_EQ(no_such.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(no_such.status().message().find(missing), std::string::npos)
+      << no_such.status().message();
+  const std::string empty_dir = ::testing::TempDir() + "/hepq_empty_dir";
+  ::mkdir(empty_dir.c_str(), 0755);
+  const auto empty = exec::ResolveDatasetLayout(empty_dir, ReaderOptions{});
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(empty.status().message().find(empty_dir), std::string::npos)
+      << empty.status().message();
+  EXPECT_NE(empty.status().message().find("no .laq files"),
+            std::string::npos)
+      << empty.status().message();
 }
 
 }  // namespace

@@ -28,11 +28,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/json.h"
 #include "fileio/dataset_reader.h"
 #include "fileio/layout_optimizer.h"
 #include "queries/adl.h"
@@ -45,39 +44,38 @@ using hepq::OptimizeOptions;
 
 namespace {
 
-/// Pulls the per-leaf decoded-byte ranking out of a RunReport JSON with a
-/// tolerant string scan (the repo has no JSON parser; the report writer
-/// emits exactly this shape). Returns leaf paths hottest-first.
-std::vector<std::string> HottestLeaves(const std::string& report_path) {
-  std::ifstream in(report_path);
-  if (!in) {
-    std::fprintf(stderr, "warning: cannot read --report=%s, ignoring\n",
-                 report_path.c_str());
-    return {};
+/// The leaves of a RunReport's top-level `per_leaf` array (as written by
+/// `hepq_run --profile=`) that decoded any bytes, hottest first. A report
+/// that cannot be read or parsed, or has no `per_leaf` array, is an error.
+hepq::Result<std::vector<std::string>> HottestLeaves(
+    const std::string& report_path) {
+  using hepq::json::JsonValue;
+  JsonValue report;
+  HEPQ_ASSIGN_OR_RETURN(report, hepq::json::ParseJsonFile(report_path));
+  const JsonValue* per_leaf = report.Find("per_leaf");
+  if (per_leaf == nullptr || !per_leaf->is_array()) {
+    return hepq::Status::Invalid("'" + report_path +
+                                 "' has no top-level per_leaf array");
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  std::vector<std::pair<unsigned long long, std::string>> ranked;
-  size_t pos = 0;
-  while ((pos = text.find("{\"leaf\": \"", pos)) != std::string::npos) {
-    pos += 10;
-    const size_t end = text.find('"', pos);
-    if (end == std::string::npos) break;
-    const std::string leaf = text.substr(pos, end - pos);
-    const size_t bytes_key = text.find("\"decoded_bytes\": ", end);
-    if (bytes_key == std::string::npos) break;
-    const unsigned long long bytes =
-        std::strtoull(text.c_str() + bytes_key + 17, nullptr, 10);
-    ranked.emplace_back(bytes, leaf);
-    pos = end;
+  std::vector<std::pair<double, std::string>> ranked;
+  for (const JsonValue& entry : per_leaf->array_items()) {
+    const JsonValue* leaf = entry.Find("leaf");
+    const JsonValue* bytes = entry.Find("decoded_bytes");
+    if (leaf == nullptr || !leaf->is_string() || bytes == nullptr ||
+        !bytes->is_number()) {
+      return hepq::Status::Invalid(
+          "'" + report_path +
+          "': per_leaf entry without a string leaf and numeric "
+          "decoded_bytes");
+    }
+    if (bytes->number_value() > 0) {
+      ranked.emplace_back(bytes->number_value(), leaf->string_value());
+    }
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<std::string> leaves;
-  for (const auto& [bytes, leaf] : ranked) {
-    if (bytes > 0) leaves.push_back(leaf);
-  }
+  for (const auto& [bytes, leaf] : ranked) leaves.push_back(leaf);
   return leaves;
 }
 
@@ -249,7 +247,13 @@ int main(int argc, char** argv) {
   if (!report_path.empty()) {
     // RunReport feedback: the hottest-decoded leaves are where sharper
     // zone maps pay most, so append them (deduplicated) as tiebreakers.
-    for (const std::string& leaf : HottestLeaves(report_path)) {
+    auto hottest = HottestLeaves(report_path);
+    if (!hottest.ok()) {
+      std::fprintf(stderr, "error: --report: %s\n",
+                   hottest.status().ToString().c_str());
+      return 1;
+    }
+    for (const std::string& leaf : *hottest) {
       if (std::find(options.cluster_keys.begin(), options.cluster_keys.end(),
                     leaf) == options.cluster_keys.end()) {
         options.cluster_keys.push_back(leaf);
