@@ -7,6 +7,7 @@
 #include <string>
 
 #include "cloud/simulator.h"
+#include "core/json.h"
 #include "datagen/dataset.h"
 #include "queries/adl.h"
 
@@ -122,45 +123,43 @@ inline void PrintHeaderLine(const char* title) {
 
 /// Accumulates benchmark records and writes them as `BENCH_<name>.json`
 /// in the working directory — the machine-readable companion of the
-/// printed tables, uploaded as a CI artifact by the bench-smoke job.
+/// printed tables, uploaded as a CI artifact by the bench-smoke job. The
+/// document is a JSON array with one object per Add* call.
 class BenchJson {
  public:
-  explicit BenchJson(std::string name) : name_(std::move(name)) {}
+  explicit BenchJson(std::string name) : name_(std::move(name)) {
+    records_.BeginArray();
+  }
 
   void Add(const std::string& query, const std::string& engine, double cpu_s,
            uint64_t bytes_scanned, uint64_t bytes_decoded,
            uint64_t rows_pruned) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"query\": \"%s\", \"engine\": \"%s\", "
-                  "\"cpu_s\": %.6f, \"bytes_scanned\": %llu, "
-                  "\"bytes_decoded\": %llu, \"rows_pruned\": %llu}",
-                  records_.empty() ? "" : ",\n", query.c_str(),
-                  engine.c_str(), cpu_s,
-                  static_cast<unsigned long long>(bytes_scanned),
-                  static_cast<unsigned long long>(bytes_decoded),
-                  static_cast<unsigned long long>(rows_pruned));
-    records_ += buf;
+    records_.BeginObject()
+        .Field("query", query)
+        .Field("engine", engine)
+        .Field("cpu_s", cpu_s)
+        .Field("bytes_scanned", bytes_scanned)
+        .Field("bytes_decoded", bytes_decoded)
+        .Field("rows_pruned", rows_pruned)
+        .EndObject();
   }
 
   /// Tier record: one (kernel, tier) measurement from the
   /// micro-benchmarks. ns_per_row is the normalized cost (per byte for
-  /// the CRC-32 kernels, printed with 6 significant digits since those
-  /// run well under 1 ns); fused_coverage is the fraction of source VOps
+  /// the CRC-32 kernels); fused_coverage is the fraction of source VOps
   /// absorbed into superinstructions (simd tier only, 0 otherwise). CI
   /// compares ns_per_row ratios against
   /// bench/baselines/micro_kernels_tiers.json.
   void AddTier(const std::string& kernel, const std::string& tier,
                double ns_per_row, double vops_per_row,
                double fused_coverage) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"kernel\": \"%s\", \"tier\": \"%s\", "
-                  "\"ns_per_row\": %.6g, \"vops_per_row\": %.2f, "
-                  "\"fused_coverage\": %.4f}",
-                  records_.empty() ? "" : ",\n", kernel.c_str(),
-                  tier.c_str(), ns_per_row, vops_per_row, fused_coverage);
-    records_ += buf;
+    records_.BeginObject()
+        .Field("kernel", kernel)
+        .Field("tier", tier)
+        .Field("ns_per_row", ns_per_row)
+        .Field("vops_per_row", vops_per_row)
+        .Field("fused_coverage", fused_coverage)
+        .EndObject();
   }
 
   /// Scale-out record: one (query, procs, threads) measurement from a
@@ -170,17 +169,17 @@ class BenchJson {
   void AddScaling(const std::string& query, const std::string& engine,
                   int procs, int threads, int64_t events, double wall_s,
                   double cpu_s, double speedup, double sim_wall_s) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"query\": \"%s\", \"engine\": \"%s\", "
-                  "\"procs\": %d, \"threads\": %d, \"events\": %lld, "
-                  "\"wall_s\": %.6f, \"cpu_s\": %.6f, \"speedup\": %.4f, "
-                  "\"sim_wall_s\": %.6f}",
-                  records_.empty() ? "" : ",\n", query.c_str(),
-                  engine.c_str(), procs, threads,
-                  static_cast<long long>(events), wall_s, cpu_s, speedup,
-                  sim_wall_s);
-    records_ += buf;
+    records_.BeginObject()
+        .Field("query", query)
+        .Field("engine", engine)
+        .Field("procs", procs)
+        .Field("threads", threads)
+        .Field("events", events)
+        .Field("wall_s", wall_s)
+        .Field("cpu_s", cpu_s)
+        .Field("speedup", speedup)
+        .Field("sim_wall_s", sim_wall_s)
+        .EndObject();
   }
 
   /// Cache-warmth record: one full 8-query suite pass under a given cache
@@ -191,20 +190,23 @@ class BenchJson {
                     uint64_t decoded_bytes, uint64_t cache_bytes_served,
                     uint64_t chunk_cache_hits, uint64_t footer_cache_hits,
                     int result_cache_hits, double warm_speedup) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"label\": \"%s\", \"pass\": %d, "
-                  "\"wall_s\": %.6f, \"decoded_bytes\": %llu, "
-                  "\"cache_bytes_served\": %llu, \"chunk_cache_hits\": %llu, "
-                  "\"footer_cache_hits\": %llu, \"result_cache_hits\": %d, "
-                  "\"warm_speedup\": %.4f}",
-                  records_.empty() ? "" : ",\n", label.c_str(), pass, wall_s,
-                  static_cast<unsigned long long>(decoded_bytes),
-                  static_cast<unsigned long long>(cache_bytes_served),
-                  static_cast<unsigned long long>(chunk_cache_hits),
-                  static_cast<unsigned long long>(footer_cache_hits),
-                  result_cache_hits, warm_speedup);
-    records_ += buf;
+    records_.BeginObject()
+        .Field("label", label)
+        .Field("pass", pass)
+        .Field("wall_s", wall_s)
+        .Field("decoded_bytes", decoded_bytes)
+        .Field("cache_bytes_served", cache_bytes_served)
+        .Field("chunk_cache_hits", chunk_cache_hits)
+        .Field("footer_cache_hits", footer_cache_hits)
+        .Field("result_cache_hits", result_cache_hits)
+        .Field("warm_speedup", warm_speedup)
+        .EndObject();
+  }
+
+  /// The records as one JSON array document.
+  std::string ToJson() const {
+    json::Writer document = records_;
+    return document.EndArray().Take() + "\n";
   }
 
   /// Writes the accumulated records; returns false (with a message on
@@ -216,7 +218,7 @@ class BenchJson {
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "[\n%s\n]\n", records_.c_str());
+    std::fputs(ToJson().c_str(), f);
     std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
     return true;
@@ -224,7 +226,7 @@ class BenchJson {
 
  private:
   std::string name_;
-  std::string records_;
+  json::Writer records_;
 };
 
 }  // namespace hepq::bench

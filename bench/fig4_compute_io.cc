@@ -124,13 +124,15 @@ int main(int argc, char** argv) {
     info.events_processed = traced->events_processed;
     info.wall_seconds = traced->wall_seconds;
     info.cpu_seconds = traced->cpu_seconds;
-    const hepq::obs::RunReport report =
-        hepq::obs::BuildRunReport(session, info, traced->scan);
+    std::vector<hepq::obs::ProcessReport> processes;
+    processes.push_back(
+        hepq::obs::BuildProcessReport(session, info, traced->scan, 0, 0));
     const std::string report_path = "RUNREPORT_fig4_" + engine_name + ".json";
     const std::string trace_path = "TRACE_fig4_" + engine_name + ".json";
-    hepq::obs::WriteTextFile(report_path, hepq::obs::ReportToJson(report))
+    hepq::obs::WriteTextFile(report_path,
+                             hepq::obs::ReportToJson(processes[0].report))
         .Check();
-    hepq::obs::WriteTextFile(trace_path, hepq::obs::ChromeTraceJson(session))
+    hepq::obs::WriteTextFile(trace_path, hepq::obs::ChromeTraceJson(processes))
         .Check();
     std::printf("wrote %s and %s\n", report_path.c_str(), trace_path.c_str());
   }

@@ -1,5 +1,7 @@
 #include "core/json.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +14,94 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+void Writer::Separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (first_.empty()) return;
+  if (!first_.back()) out_.push_back(',');
+  first_.back() = false;
+}
+
+Writer& Writer::Open(char c) {
+  Separate();
+  out_.push_back(c);
+  first_.push_back(true);
+  return *this;
+}
+
+Writer& Writer::Close(char c) {
+  first_.pop_back();
+  out_.push_back(c);
+  return *this;
+}
+
+void Writer::Escaped(std::string_view s) {
+  out_.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out_ += "\\u00";
+          out_.push_back(kHex[(c >> 4) & 0xF]);
+          out_.push_back(kHex[c & 0xF]);
+        } else {
+          out_.push_back(c);
+        }
+    }
+  }
+  out_.push_back('"');
+}
+
+Writer& Writer::Key(std::string_view key) {
+  Separate();
+  Escaped(key);
+  out_.push_back(':');
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::Value(std::string_view s) {
+  Separate();
+  Escaped(s);
+  return *this;
+}
+
+Writer& Writer::Value(bool b) {
+  Separate();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+template <typename T>
+Writer& Writer::Number(T v) {
+  Separate();
+  char buf[32];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  return *this;
+}
+
+Writer& Writer::Value(double d) {
+  return std::isfinite(d) ? Number(d) : Null();
+}
+Writer& Writer::Value(int64_t v) { return Number(v); }
+Writer& Writer::Value(uint64_t v) { return Number(v); }
+
+Writer& Writer::Null() {
+  Separate();
+  out_ += "null";
+  return *this;
 }
 
 namespace {

@@ -1,7 +1,10 @@
 #ifndef HEPQUERY_CORE_JSON_H_
 #define HEPQUERY_CORE_JSON_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -11,9 +14,11 @@ namespace hepq::json {
 
 // Minimal JSON document model + recursive-descent parser, for tooling
 // that must read the repo's own machine-readable outputs (BENCH_*.json,
-// bench/baselines/*.json, RunReport JSON) without external dependencies.
-// Numbers are doubles (every producer in this repo emits values a double
-// holds exactly at the precision written); object key order is preserved.
+// bench/baselines/*.json, RunReport JSON) without external dependencies,
+// and the one streaming Writer every one of those outputs is emitted by.
+// Parsed numbers are doubles: the Writer emits doubles as shortest
+// round-trip digits, so they parse back bit-exact (integers beyond 2^53
+// do not); object key order is preserved.
 
 class JsonValue {
  public:
@@ -81,6 +86,66 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
+};
+
+/// Streaming JSON writer: compact (no whitespace), commas managed per
+/// open object/array. Callers pair Begin/End calls and give a Key before
+/// every value inside an object; Field(key, value) is the shorthand.
+/// This file holds the repo's only JSON string escaper and number
+/// formatter:
+///  - strings: `"` and `\` escaped, control bytes 0x00-0x1f as \b \f \n
+///    \r \t or \u00XX, every other byte (UTF-8 or not) copied as is;
+///  - integers: exact decimal digits;
+///  - doubles: shortest round-trip digits (std::to_chars), so ParseJson
+///    gives back the same bits; NaN and +-inf are written as null.
+class Writer {
+ public:
+  Writer& BeginObject() { return Open('{'); }
+  Writer& EndObject() { return Close('}'); }
+  Writer& BeginArray() { return Open('['); }
+  Writer& EndArray() { return Close(']'); }
+  Writer& Key(std::string_view key);
+
+  Writer& Value(std::string_view s);
+  Writer& Value(const char* s) { return Value(std::string_view(s)); }
+  Writer& Value(bool b);
+  Writer& Value(double d);
+  Writer& Value(int64_t v);
+  Writer& Value(uint64_t v);
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  Writer& Value(T v) {
+    if constexpr (std::is_signed_v<T>) {
+      return Value(static_cast<int64_t>(v));
+    } else {
+      return Value(static_cast<uint64_t>(v));
+    }
+  }
+  Writer& Null();
+
+  template <typename T>
+  Writer& Field(std::string_view key, const T& value) {
+    Key(key);
+    return Value(value);
+  }
+
+  const std::string& str() const { return out_; }
+  /// Moves the document out; the writer is not used afterwards.
+  std::string Take() { return std::move(out_); }
+
+ private:
+  /// Integers exactly, doubles in shortest round-trip digits.
+  template <typename T>
+  Writer& Number(T v);
+  Writer& Open(char c);
+  Writer& Close(char c);
+  /// Writes the comma owed before a new element of the open container.
+  void Separate();
+  void Escaped(std::string_view s);
+
+  std::string out_;
+  std::vector<bool> first_;  // per open container: no element written yet
+  bool after_key_ = false;
 };
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).

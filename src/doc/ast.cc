@@ -1,6 +1,7 @@
 #include "doc/ast.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 namespace hepq::doc {
@@ -522,7 +523,13 @@ class FlworExpr final : public DocExpr {
         return Status::TypeError(
             "group by key must be a singleton atomic value");
       }
-      const std::string key = key_seq.front()->ToJson();
+      // ToJson writes every non-finite number as null; key those by their
+      // printf spelling ("inf", "-inf", "nan") to keep them apart from null.
+      const Item& item = *key_seq.front();
+      const std::string key =
+          item.IsNumber() && !std::isfinite(item.AsDouble())
+              ? std::to_string(item.AsDouble())
+              : item.ToJson();
       auto [it, inserted] = groups.try_emplace(key);
       if (inserted) {
         key_order.push_back(key);

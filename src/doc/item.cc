@@ -1,6 +1,6 @@
 #include "doc/item.h"
 
-#include <cstdio>
+#include "core/json.h"
 
 namespace hepq::doc {
 
@@ -62,37 +62,36 @@ ItemPtr Item::Member(const std::string& name) const {
   return nullptr;
 }
 
-std::string Item::ToJson() const {
-  switch (kind_) {
-    case Kind::kNull:
-      return "null";
-    case Kind::kBool:
-      return bool_ ? "true" : "false";
-    case Kind::kNumber: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", number_);
-      return buf;
-    }
-    case Kind::kString:
-      return "\"" + string_ + "\"";
-    case Kind::kArray: {
-      std::string out = "[";
-      for (size_t i = 0; i < elements_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += elements_[i]->ToJson();
+namespace {
+
+void WriteJson(const Item& item, json::Writer* out) {
+  switch (item.kind()) {
+    case Item::Kind::kNull: out->Null(); break;
+    case Item::Kind::kBool: out->Value(item.AsBool()); break;
+    case Item::Kind::kNumber: out->Value(item.AsDouble()); break;
+    case Item::Kind::kString: out->Value(item.AsString()); break;
+    case Item::Kind::kArray:
+      out->BeginArray();
+      for (const ItemPtr& element : item.Elements()) WriteJson(*element, out);
+      out->EndArray();
+      break;
+    case Item::Kind::kObject:
+      out->BeginObject();
+      for (const auto& [key, value] : item.Members()) {
+        out->Key(key);
+        WriteJson(*value, out);
       }
-      return out + "]";
-    }
-    case Kind::kObject: {
-      std::string out = "{";
-      for (size_t i = 0; i < members_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += "\"" + members_[i].first + "\":" + members_[i].second->ToJson();
-      }
-      return out + "}";
-    }
+      out->EndObject();
+      break;
   }
-  return "null";
+}
+
+}  // namespace
+
+std::string Item::ToJson() const {
+  json::Writer out;
+  WriteJson(*this, &out);
+  return out.Take();
 }
 
 double SequenceToDouble(const Sequence& seq, double fallback) {

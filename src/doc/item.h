@@ -52,6 +52,8 @@ class Item {
     return members_;
   }
 
+  /// Compact JSON (json::Writer: distinct numbers print distinctly, NaN
+  /// and +-inf as null).
   std::string ToJson() const;
 
  private:

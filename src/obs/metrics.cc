@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -85,26 +84,6 @@ T& FindOrCreate(std::vector<std::unique_ptr<T>>* entries, const char* name) {
   }
   entries->push_back(std::make_unique<T>(name));
   return *entries->back();
-}
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 /// Metric name with any inline label set stripped — what Prometheus TYPE
@@ -253,50 +232,35 @@ std::string MetricsToPrometheus(const std::vector<MetricSample>& samples) {
   return out;
 }
 
-std::string MetricSamplesJsonArray(const std::vector<MetricSample>& samples) {
-  std::string out;
-  out.reserve(samples.size() * 64 + 2);
-  out.push_back('[');
-  bool first = true;
+void MetricSamplesJsonArray(const std::vector<MetricSample>& samples,
+                            json::Writer* out) {
+  out->BeginArray();
   for (const MetricSample& sample : samples) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"name\":";
-    AppendJsonString(&out, sample.name);
-    out += ",\"kind\":\"";
-    out += KindName(sample.kind);
-    out += "\"";
+    out->BeginObject();
+    out->Field("name", sample.name).Field("kind", KindName(sample.kind));
     if (sample.kind == MetricKind::kHistogram) {
-      out += ",\"count\":";
-      out += std::to_string(sample.observations);
-      out += ",\"sum_ns\":";
-      out += std::to_string(sample.sum_ns);
-      out += ",\"buckets\":[";
-      for (size_t b = 0; b < sample.buckets.size(); ++b) {
-        if (b > 0) out.push_back(',');
-        out += std::to_string(sample.buckets[b]);
-      }
-      out.push_back(']');
+      out->Field("count", sample.observations).Field("sum_ns", sample.sum_ns);
+      out->Key("buckets").BeginArray();
+      for (const uint64_t bucket : sample.buckets) out->Value(bucket);
+      out->EndArray();
     } else {
-      out += ",\"value\":";
-      out += std::to_string(sample.value);
+      out->Field("value", sample.value);
     }
-    out.push_back('}');
+    out->EndObject();
   }
-  out.push_back(']');
-  return out;
+  out->EndArray();
 }
 
 std::string MetricsToJson(const std::vector<MetricSample>& samples) {
-  std::string out = "{\"bucket_bounds_ns\":[";
+  json::Writer out;
+  out.BeginObject().Key("bucket_bounds_ns").BeginArray();
   for (int b = 0; b < kHistogramBuckets; ++b) {
-    if (b > 0) out.push_back(',');
-    out += std::to_string(HistogramBucketBoundNs(b));
+    out.Value(HistogramBucketBoundNs(b));
   }
-  out += "],\"metrics\":";
-  out += MetricSamplesJsonArray(samples);
-  out += "}\n";
-  return out;
+  out.EndArray().Key("metrics");
+  MetricSamplesJsonArray(samples, &out);
+  out.EndObject();
+  return out.Take() + "\n";
 }
 
 void ResetMetricsForTest() {

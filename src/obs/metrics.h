@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "core/json.h"
+
 namespace hepq::obs::metrics {
 
 // Process-lifetime metrics registry: named counters, gauges, and
@@ -171,9 +173,11 @@ void MergeMetricSamples(std::vector<MetricSample>* into,
 /// lines are cumulative with `le` labels, per the format.
 std::string MetricsToPrometheus(const std::vector<MetricSample>& samples);
 
-/// The samples as a JSON array (each sample one object), embeddable in a
-/// RunReport; MetricsToJson wraps it in a `{"metrics": ...}` document.
-std::string MetricSamplesJsonArray(const std::vector<MetricSample>& samples);
+/// Writes the samples as a JSON array (each sample one object) into `out`
+/// — the RunReport's "metrics" member; MetricsToJson wraps it in a
+/// `{"metrics": ...}` document.
+void MetricSamplesJsonArray(const std::vector<MetricSample>& samples,
+                            json::Writer* out);
 std::string MetricsToJson(const std::vector<MetricSample>& samples);
 
 /// Zeroes every registered metric's value (registrations persist). Tests

@@ -3,77 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 
 namespace hepq::obs {
 
 namespace {
-
-// ---- minimal JSON writer -------------------------------------------------
-
-void AppendEscaped(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendDouble(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    *out += "0";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
-}
-
-/// Comma-managing appender for one object or array scope.
-class JsonScope {
- public:
-  JsonScope(std::string* out, char open, char close)
-      : out_(out), close_(close) {
-    out_->push_back(open);
-  }
-  ~JsonScope() { out_->push_back(close_); }
-
-  std::string* Sep() {
-    if (!first_) out_->push_back(',');
-    first_ = false;
-    return out_;
-  }
-  std::string* Key(const char* key) {
-    Sep();
-    AppendEscaped(out_, key);
-    out_->push_back(':');
-    return out_;
-  }
-  void Int(const char* key, int64_t v) { *Key(key) += std::to_string(v); }
-  void UInt(const char* key, uint64_t v) { *Key(key) += std::to_string(v); }
-  void Num(const char* key, double v) { AppendDouble(Key(key), v); }
-  void Str(const char* key, std::string_view v) { AppendEscaped(Key(key), v); }
-  void Bool(const char* key, bool v) { *Key(key) += v ? "true" : "false"; }
-
- private:
-  std::string* out_;
-  char close_;
-  bool first_ = true;
-};
 
 // ---- exclusive-time computation ------------------------------------------
 
@@ -349,178 +283,167 @@ RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
 }
 
 std::string ReportToJson(const RunReport& report) {
-  std::string out;
-  out.reserve(4096);
-  {
-    JsonScope root(&out, '{', '}');
-    root.Int("schema_version", RunReport::kSchemaVersion);
-    root.Str("query", report.info.query);
-    root.Str("engine", report.info.engine);
-    root.Int("threads", report.info.threads);
-    root.Int("events_processed", report.info.events_processed);
-    root.Int("wall_ns", report.wall_ns());
-    root.Int("cpu_ns", report.cpu_ns());
-    root.Int("run_span_ns", report.run_span_ns);
-    root.Int("total_span_ns", report.total_span_ns);
-    root.Int("window_ns", report.window_ns);
-    root.Num("span_coverage", report.span_coverage());
-    {
-      JsonScope fig(root.Key("figure4"), '{', '}');
-      fig.Num("cpu_ns_per_event", report.cpu_ns_per_event());
-      fig.Num("storage_bytes_per_event", report.storage_bytes_per_event());
-      fig.Num("decoded_bytes_per_event", report.decoded_bytes_per_event());
-      fig.Num("events_per_sec_per_core", report.events_per_sec_per_core());
-    }
-    {
-      JsonScope vm(root.Key("expr_vm"), '{', '}');
-      vm.Num("vops_per_event", report.vops_per_event());
-      vm.Num("fused_coverage", report.vexpr_fused_coverage());
-    }
-    {
-      JsonScope scan(root.Key("scan"), '{', '}');
-      scan.UInt("storage_bytes", report.scan.storage_bytes);
-      scan.UInt("encoded_bytes", report.scan.encoded_bytes);
-      scan.UInt("logical_bytes_bq", report.scan.logical_bytes_bq);
-      scan.UInt("ideal_bytes", report.scan.ideal_bytes);
-      scan.UInt("chunks_read", report.scan.chunks_read);
-      scan.UInt("values_read", report.scan.values_read);
-      scan.UInt("decoded_bytes", report.scan.decoded_bytes);
-      scan.UInt("pages_read", report.scan.pages_read);
-      scan.UInt("pages_pruned", report.scan.pages_pruned);
-      scan.UInt("checksum_bytes", report.scan.checksum_bytes);
-      scan.UInt("rows_pruned", report.scan.rows_pruned);
-      scan.UInt("rows_read", report.scan.rows_read);
-      scan.UInt("lanes_pruned", report.scan.lanes_pruned);
-      scan.UInt("groups_pruned", report.scan.groups_pruned);
-    }
-    {
-      // decoded_bytes (from disk, this run) + cache_bytes_served == the
-      // bytes the query consumed — the cache hierarchy's reconciliation
-      // invariant, emitted pre-summed so consumers need no arithmetic.
-      JsonScope cache(root.Key("cache"), '{', '}');
-      cache.UInt("footer_hits", report.scan.footer_cache_hits);
-      cache.UInt("footer_misses", report.scan.footer_cache_misses);
-      cache.UInt("chunk_hits", report.scan.chunk_cache_hits);
-      cache.UInt("chunk_misses", report.scan.chunk_cache_misses);
-      cache.UInt("cache_bytes_served", report.scan.cache_bytes_served);
-      cache.UInt("consumed_bytes",
-                 report.scan.decoded_bytes + report.scan.cache_bytes_served);
-    }
-    {
-      JsonScope stages(root.Key("stages"), '[', ']');
-      for (const StageSummary& stage : report.stages) {
-        JsonScope s(stages.Sep(), '{', '}');
-        s.Str("stage", StageName(stage.stage));
-        s.Int("wall_ns", stage.wall_ns);
-        s.Int("cpu_ns", stage.cpu_ns);
-        s.UInt("bytes", stage.bytes);
-        s.UInt("count", stage.count);
-      }
-    }
-    {
-      JsonScope processes(root.Key("processes"), '[', ']');
-      for (const RunReport::ProcessSummary& process : report.processes) {
-        JsonScope p(processes.Sep(), '{', '}');
-        p.Int("proc", process.proc);
-        p.Int("shard_begin", process.shard_begin);
-        p.Int("shard_end", process.shard_end);
-        p.Int("threads", process.threads);
-        p.Int("events", process.events);
-        p.Num("wall_seconds", process.wall_seconds);
-        p.Num("cpu_seconds", process.cpu_seconds);
-        p.UInt("storage_bytes", process.storage_bytes);
-        p.UInt("decoded_bytes", process.decoded_bytes);
-        p.UInt("cache_bytes_served", process.cache_bytes_served);
-        p.Bool("report_received", process.report_received);
-      }
-    }
-    root.Bool("partial", report.partial);
-    {
-      JsonScope warnings(root.Key("warnings"), '[', ']');
-      for (const std::string& warning : report.warnings) {
-        AppendEscaped(warnings.Sep(), warning);
-      }
-    }
-    *root.Key("metrics") += metrics::MetricSamplesJsonArray(report.metrics);
-    {
-      JsonScope workers(root.Key("workers"), '[', ']');
-      for (const WorkerSummary& worker : report.workers) {
-        JsonScope w(workers.Sep(), '{', '}');
-        w.Int("proc", worker.proc);
-        w.Int("worker", worker.worker);
-        w.Int("busy_ns", worker.busy_ns);
-        w.Int("idle_ns", worker.idle_ns);
-        w.Num("busy_fraction", worker.busy_fraction);
-        w.Int("row_groups", worker.row_groups);
-        w.Int("max_queue_ns", worker.max_queue_ns);
-        w.Int("max_queue_group", worker.max_queue_group);
-        w.Bool("timeline_truncated", worker.timeline_truncated);
-        {
-          JsonScope timeline(w.Key("timeline"), '[', ']');
-          for (const auto& entry : worker.timeline) {
-            JsonScope e(timeline.Sep(), '{', '}');
-            e.Int("group", entry.group);
-            e.Int("slot", entry.slot);
-            e.Int("start_ns", entry.start_ns);
-            e.Int("dur_ns", entry.dur_ns);
-            e.Int("queue_ns", entry.queue_ns);
-            e.UInt("bytes", entry.bytes);
-          }
-        }
-      }
-    }
-    {
-      JsonScope stragglers(root.Key("stragglers"), '[', ']');
-      for (const Straggler& straggler : report.stragglers) {
-        JsonScope s(stragglers.Sep(), '{', '}');
-        s.Int("group", straggler.group);
-        s.Int("proc", straggler.proc);
-        s.Int("worker", straggler.worker);
-        s.Int("slot", straggler.slot);
-        s.Int("wall_ns", straggler.wall_ns);
-        s.UInt("bytes", straggler.bytes);
-      }
-    }
-    {
-      JsonScope leaves(root.Key("per_leaf"), '[', ']');
-      for (const LeafScanStats& leaf : report.scan.leaves) {
-        if (leaf.decoded_bytes == 0 && leaf.pages_read == 0 &&
-            leaf.chunks_read == 0 && leaf.pages_pruned == 0 &&
-            leaf.cache_bytes_served == 0) {
-          continue;
-        }
-        JsonScope l(leaves.Sep(), '{', '}');
-        l.Str("leaf", leaf.path);
-        l.UInt("decoded_bytes", leaf.decoded_bytes);
-        l.UInt("storage_bytes", leaf.storage_bytes);
-        l.UInt("chunks_read", leaf.chunks_read);
-        l.UInt("pages_read", leaf.pages_read);
-        l.UInt("pages_pruned", leaf.pages_pruned);
-        l.UInt("cache_bytes_served", leaf.cache_bytes_served);
-      }
-    }
-    {
-      JsonScope counters(root.Key("counters"), '[', ']');
-      for (const CounterSummary& counter : report.counters) {
-        JsonScope c(counters.Sep(), '{', '}');
-        c.Str("name", counter.name);
-        c.Str("stage", StageName(counter.stage));
-        c.Int("ns", counter.ns);
-        c.UInt("count", counter.count);
-        c.UInt("bytes", counter.bytes);
-      }
-    }
-    {
-      JsonScope cost(root.Key("cost_inputs"), '{', '}');
-      cost.Num("cpu_seconds", report.cost_inputs.cpu_seconds);
-      cost.UInt("storage_bytes", report.cost_inputs.storage_bytes);
-      cost.UInt("logical_bytes_bq", report.cost_inputs.logical_bytes_bq);
-      cost.Int("row_groups", report.cost_inputs.row_groups);
-      cost.Int("events", report.cost_inputs.events);
-    }
+  json::Writer w;
+  w.BeginObject();
+  w.Field("schema_version", RunReport::kSchemaVersion)
+      .Field("query", report.info.query)
+      .Field("engine", report.info.engine)
+      .Field("threads", report.info.threads)
+      .Field("events_processed", report.info.events_processed)
+      .Field("wall_ns", report.wall_ns())
+      .Field("cpu_ns", report.cpu_ns())
+      .Field("run_span_ns", report.run_span_ns)
+      .Field("total_span_ns", report.total_span_ns)
+      .Field("window_ns", report.window_ns)
+      .Field("span_coverage", report.span_coverage());
+  w.Key("figure4").BeginObject()
+      .Field("cpu_ns_per_event", report.cpu_ns_per_event())
+      .Field("storage_bytes_per_event", report.storage_bytes_per_event())
+      .Field("decoded_bytes_per_event", report.decoded_bytes_per_event())
+      .Field("events_per_sec_per_core", report.events_per_sec_per_core())
+      .EndObject();
+  w.Key("expr_vm").BeginObject()
+      .Field("vops_per_event", report.vops_per_event())
+      .Field("fused_coverage", report.vexpr_fused_coverage())
+      .EndObject();
+  const ScanStats& scan = report.scan;
+  w.Key("scan").BeginObject()
+      .Field("storage_bytes", scan.storage_bytes)
+      .Field("encoded_bytes", scan.encoded_bytes)
+      .Field("logical_bytes_bq", scan.logical_bytes_bq)
+      .Field("ideal_bytes", scan.ideal_bytes)
+      .Field("chunks_read", scan.chunks_read)
+      .Field("values_read", scan.values_read)
+      .Field("decoded_bytes", scan.decoded_bytes)
+      .Field("pages_read", scan.pages_read)
+      .Field("pages_pruned", scan.pages_pruned)
+      .Field("checksum_bytes", scan.checksum_bytes)
+      .Field("rows_pruned", scan.rows_pruned)
+      .Field("rows_read", scan.rows_read)
+      .Field("lanes_pruned", scan.lanes_pruned)
+      .Field("groups_pruned", scan.groups_pruned)
+      .EndObject();
+  // decoded_bytes (from disk, this run) + cache_bytes_served == the bytes
+  // the query consumed — the cache hierarchy's reconciliation invariant,
+  // emitted pre-summed so consumers need no arithmetic.
+  w.Key("cache").BeginObject()
+      .Field("footer_hits", scan.footer_cache_hits)
+      .Field("footer_misses", scan.footer_cache_misses)
+      .Field("chunk_hits", scan.chunk_cache_hits)
+      .Field("chunk_misses", scan.chunk_cache_misses)
+      .Field("cache_bytes_served", scan.cache_bytes_served)
+      .Field("consumed_bytes", scan.decoded_bytes + scan.cache_bytes_served)
+      .EndObject();
+  w.Key("stages").BeginArray();
+  for (const StageSummary& stage : report.stages) {
+    w.BeginObject()
+        .Field("stage", StageName(stage.stage))
+        .Field("wall_ns", stage.wall_ns)
+        .Field("cpu_ns", stage.cpu_ns)
+        .Field("bytes", stage.bytes)
+        .Field("count", stage.count)
+        .EndObject();
   }
-  out.push_back('\n');
-  return out;
+  w.EndArray();
+  w.Key("processes").BeginArray();
+  for (const RunReport::ProcessSummary& process : report.processes) {
+    w.BeginObject()
+        .Field("proc", process.proc)
+        .Field("shard_begin", process.shard_begin)
+        .Field("shard_end", process.shard_end)
+        .Field("threads", process.threads)
+        .Field("events", process.events)
+        .Field("wall_seconds", process.wall_seconds)
+        .Field("cpu_seconds", process.cpu_seconds)
+        .Field("storage_bytes", process.storage_bytes)
+        .Field("decoded_bytes", process.decoded_bytes)
+        .Field("cache_bytes_served", process.cache_bytes_served)
+        .Field("report_received", process.report_received)
+        .EndObject();
+  }
+  w.EndArray();
+  w.Field("partial", report.partial);
+  w.Key("warnings").BeginArray();
+  for (const std::string& warning : report.warnings) w.Value(warning);
+  w.EndArray();
+  w.Key("metrics");
+  metrics::MetricSamplesJsonArray(report.metrics, &w);
+  w.Key("workers").BeginArray();
+  for (const WorkerSummary& worker : report.workers) {
+    w.BeginObject()
+        .Field("proc", worker.proc)
+        .Field("worker", worker.worker)
+        .Field("busy_ns", worker.busy_ns)
+        .Field("idle_ns", worker.idle_ns)
+        .Field("busy_fraction", worker.busy_fraction)
+        .Field("row_groups", worker.row_groups)
+        .Field("max_queue_ns", worker.max_queue_ns)
+        .Field("max_queue_group", worker.max_queue_group)
+        .Field("timeline_truncated", worker.timeline_truncated);
+    w.Key("timeline").BeginArray();
+    for (const auto& entry : worker.timeline) {
+      w.BeginObject()
+          .Field("group", entry.group)
+          .Field("slot", entry.slot)
+          .Field("start_ns", entry.start_ns)
+          .Field("dur_ns", entry.dur_ns)
+          .Field("queue_ns", entry.queue_ns)
+          .Field("bytes", entry.bytes)
+          .EndObject();
+    }
+    w.EndArray().EndObject();
+  }
+  w.EndArray();
+  w.Key("stragglers").BeginArray();
+  for (const Straggler& straggler : report.stragglers) {
+    w.BeginObject()
+        .Field("group", straggler.group)
+        .Field("proc", straggler.proc)
+        .Field("worker", straggler.worker)
+        .Field("slot", straggler.slot)
+        .Field("wall_ns", straggler.wall_ns)
+        .Field("bytes", straggler.bytes)
+        .EndObject();
+  }
+  w.EndArray();
+  w.Key("per_leaf").BeginArray();
+  for (const LeafScanStats& leaf : scan.leaves) {
+    if (leaf.decoded_bytes == 0 && leaf.pages_read == 0 &&
+        leaf.chunks_read == 0 && leaf.pages_pruned == 0 &&
+        leaf.cache_bytes_served == 0) {
+      continue;
+    }
+    w.BeginObject()
+        .Field("leaf", leaf.path)
+        .Field("decoded_bytes", leaf.decoded_bytes)
+        .Field("storage_bytes", leaf.storage_bytes)
+        .Field("chunks_read", leaf.chunks_read)
+        .Field("pages_read", leaf.pages_read)
+        .Field("pages_pruned", leaf.pages_pruned)
+        .Field("cache_bytes_served", leaf.cache_bytes_served)
+        .EndObject();
+  }
+  w.EndArray();
+  w.Key("counters").BeginArray();
+  for (const CounterSummary& counter : report.counters) {
+    w.BeginObject()
+        .Field("name", counter.name)
+        .Field("stage", StageName(counter.stage))
+        .Field("ns", counter.ns)
+        .Field("count", counter.count)
+        .Field("bytes", counter.bytes)
+        .EndObject();
+  }
+  w.EndArray();
+  w.Key("cost_inputs").BeginObject()
+      .Field("cpu_seconds", report.cost_inputs.cpu_seconds)
+      .Field("storage_bytes", report.cost_inputs.storage_bytes)
+      .Field("logical_bytes_bq", report.cost_inputs.logical_bytes_bq)
+      .Field("row_groups", report.cost_inputs.row_groups)
+      .Field("events", report.cost_inputs.events)
+      .EndObject();
+  w.EndObject();
+  return w.Take() + "\n";
 }
 
 std::string ReportToTable(const RunReport& report) {
@@ -637,49 +560,6 @@ std::string ReportToTable(const RunReport& report) {
       out += line;
     }
   }
-  return out;
-}
-
-std::string ChromeTraceJson(const TraceSession& session) {
-  const std::vector<SpanRecord> spans = session.MergedSpans();
-  const int64_t epoch = session.start_ns();
-  std::string out;
-  out.reserve(spans.size() * 128 + 256);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  const int num_threads = session.num_threads();
-  for (int t = 0; t < num_threads; ++t) {
-    if (!first) out += ",";
-    first = false;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,"
-                  "\"tid\":%d,\"args\":{\"name\":\"trace-thread-%d\"}}",
-                  t, t);
-    out += buf;
-  }
-  for (const SpanRecord& span : spans) {
-    if (!first) out += ",";
-    first = false;
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
-        "\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{",
-        span.name, StageName(span.stage),
-        static_cast<double>(span.start_ns - epoch) / 1e3,
-        static_cast<double>(span.duration_ns()) / 1e3, span.thread_index);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"worker\":%d,\"group\":%d,\"slot\":%d,\"leaf\":%d,"
-                  "\"bytes\":%llu,\"queue_us\":%.3f,\"cpu_us\":%.3f}}",
-                  span.worker, span.group, span.slot, span.leaf,
-                  static_cast<unsigned long long>(span.bytes),
-                  static_cast<double>(span.queue_ns) / 1e3,
-                  static_cast<double>(span.cpu_ns) / 1e3);
-    out += buf;
-  }
-  out += "]}\n";
   return out;
 }
 
@@ -819,74 +699,69 @@ RunReport MergeProcessReports(const RunInfo& info, const ScanStats& merged_scan,
   return merged;
 }
 
-std::string MultiProcessChromeTraceJson(
-    const std::vector<ProcessReport>& reports) {
+std::string ChromeTraceJson(const std::vector<ProcessReport>& processes) {
   // One shared epoch: the earliest session start across processes. The
   // steady clock is machine-wide, so per-process offsets against it
   // reproduce the real concurrency picture.
-  int64_t epoch = 0;
-  bool have_epoch = false;
-  size_t total_spans = 0;
-  for (const ProcessReport& process : reports) {
-    if (!process.received) continue;
-    if (!have_epoch || process.session_start_ns < epoch) {
-      epoch = process.session_start_ns;
-      have_epoch = true;
-    }
-    total_spans += process.spans.size();
+  int64_t epoch = std::numeric_limits<int64_t>::max();
+  for (const ProcessReport& process : processes) {
+    if (process.received) epoch = std::min(epoch, process.session_start_ns);
   }
-  std::string out;
-  out.reserve(total_spans * 128 + 512);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  for (size_t p = 0; p < reports.size(); ++p) {
-    const ProcessReport& process = reports[p];
+  json::Writer w;
+  // Metadata naming a process (tid < 0) or one of its threads.
+  auto name_event = [&w](const char* what, int pid, int tid,
+                         const std::string& label) {
+    w.BeginObject().Field("ph", "M").Field("name", what).Field("pid", pid);
+    if (tid >= 0) w.Field("tid", tid);
+    w.Key("args").BeginObject().Field("name", label).EndObject().EndObject();
+  };
+  w.BeginObject().Key("traceEvents").BeginArray();
+  for (size_t p = 0; p < processes.size(); ++p) {
+    const ProcessReport& process = processes[p];
     if (!process.received) continue;
     const int pid = static_cast<int>(p) + 1;
-    char buf[256];
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,"
-                  "\"args\":{\"name\":\"worker p%zu shards [%d,%d)\"}}",
-                  pid, p, process.shard_begin, process.shard_end);
-    out += buf;
+    const std::string proc = std::to_string(p);
+    // An in-process run (empty shard range) has no worker process to name.
+    const bool in_process = process.shard_begin == process.shard_end;
+    if (!in_process) {
+      name_event("process_name", pid, -1,
+                 "worker p" + proc + " shards [" +
+                     std::to_string(process.shard_begin) + "," +
+                     std::to_string(process.shard_end) + ")");
+    }
     int num_threads = 0;
     for (const SpanRecord& span : process.spans) {
       num_threads = std::max(num_threads,
                              static_cast<int>(span.thread_index) + 1);
     }
+    const std::string thread_prefix =
+        in_process ? "trace-thread-" : "p" + proc + "-thread-";
     for (int t = 0; t < num_threads; ++t) {
-      out += ",";
-      std::snprintf(buf, sizeof(buf),
-                    "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,"
-                    "\"tid\":%d,\"args\":{\"name\":\"p%zu-thread-%d\"}}",
-                    pid, t, p, t);
-      out += buf;
+      name_event("thread_name", pid, t, thread_prefix + std::to_string(t));
     }
     for (const SpanRecord& span : process.spans) {
-      out += ",";
-      std::snprintf(
-          buf, sizeof(buf),
-          "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
-          "\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{",
-          span.name, StageName(span.stage),
-          static_cast<double>(span.start_ns - epoch) / 1e3,
-          static_cast<double>(span.duration_ns()) / 1e3, pid,
-          span.thread_index);
-      out += buf;
-      std::snprintf(buf, sizeof(buf),
-                    "\"worker\":%d,\"group\":%d,\"slot\":%d,\"leaf\":%d,"
-                    "\"bytes\":%llu,\"queue_us\":%.3f,\"cpu_us\":%.3f}}",
-                    span.worker, span.group, span.slot, span.leaf,
-                    static_cast<unsigned long long>(span.bytes),
-                    static_cast<double>(span.queue_ns) / 1e3,
-                    static_cast<double>(span.cpu_ns) / 1e3);
-      out += buf;
+      w.BeginObject()
+          .Field("name", span.name)
+          .Field("cat", StageName(span.stage))
+          .Field("ph", "X")
+          .Field("ts", static_cast<double>(span.start_ns - epoch) / 1e3)
+          .Field("dur", static_cast<double>(span.duration_ns()) / 1e3)
+          .Field("pid", pid)
+          .Field("tid", span.thread_index)
+          .Key("args").BeginObject()
+          .Field("worker", span.worker)
+          .Field("group", span.group)
+          .Field("slot", span.slot)
+          .Field("leaf", span.leaf)
+          .Field("bytes", span.bytes)
+          .Field("queue_us", static_cast<double>(span.queue_ns) / 1e3)
+          .Field("cpu_us", static_cast<double>(span.cpu_ns) / 1e3)
+          .EndObject()
+          .EndObject();
     }
   }
-  out += "]}\n";
-  return out;
+  w.EndArray().EndObject();
+  return w.Take() + "\n";
 }
 
 Status WriteTextFile(const std::string& path, const std::string& content) {

@@ -216,6 +216,7 @@ struct ProcessReport {
 /// Builds the kReport payload body for one worker: BuildRunReport over the
 /// worker's whole session plus the raw span list. `info`/`scan` are the
 /// worker's own aggregated totals over shards [shard_begin, shard_end).
+/// An in-process run passes the empty range [0, 0) (see ChromeTraceJson).
 ProcessReport BuildProcessReport(const TraceSession& session,
                                  const RunInfo& info, const ScanStats& scan,
                                  int shard_begin, int shard_end);
@@ -240,18 +241,15 @@ std::string ReportToJson(const RunReport& report);
 /// Human-readable per-stage/per-worker/per-leaf table for `--profile`.
 std::string ReportToTable(const RunReport& report);
 
-/// All spans of a stopped session in Chrome `trace_event` JSON, loadable
-/// in chrome://tracing and Perfetto. Timestamps are microseconds relative
-/// to the session start; tid is the dense per-session thread index.
-std::string ChromeTraceJson(const TraceSession& session);
-
-/// Every process's spans stitched into one Chrome trace: pid = process
-/// index (shard order) + 1, tid = per-process thread index, process_name
-/// metadata names the shard range. Timestamps are relative to the
-/// earliest session start across processes (one shared CLOCK_MONOTONIC
-/// epoch), so worker timelines line up as they ran.
-std::string MultiProcessChromeTraceJson(
-    const std::vector<ProcessReport>& reports);
+/// Every process's spans as one Chrome `trace_event` JSON document,
+/// loadable in chrome://tracing and Perfetto: pid = process index + 1,
+/// tid = per-process thread index, timestamps in microseconds relative to
+/// the earliest session start across processes (one shared
+/// CLOCK_MONOTONIC epoch, so worker timelines line up as they ran).
+/// Scatter workers get process_name metadata naming their shard range;
+/// an in-process run is the one-process case, built by BuildProcessReport
+/// with an empty shard range, and has none.
+std::string ChromeTraceJson(const std::vector<ProcessReport>& processes);
 
 /// Writes `content` to `path` (overwrites).
 Status WriteTextFile(const std::string& path, const std::string& content);

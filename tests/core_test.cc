@@ -1,12 +1,22 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../bench/bench_util.h"
 #include "core/fourvector.h"
 #include "core/histogram.h"
+#include "core/json.h"
 #include "core/physics.h"
 #include "core/rng.h"
 #include "core/status.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 
 namespace hepq {
 namespace {
@@ -367,6 +377,204 @@ TEST(PhysicsTest, TransverseMassKnownValue) {
   EXPECT_NEAR(TransverseMass(25.0, 0.0, 25.0, M_PI), 50.0, 1e-9);
   // Collinear: mT = 0.
   EXPECT_NEAR(TransverseMass(25.0, 1.0, 30.0, 1.0), 0.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// JSON writer -> parser round trips
+// ---------------------------------------------------------------------------
+
+json::JsonValue ParseOrDie(const std::string& text) {
+  auto parsed = json::ParseJson(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+  return parsed.ok() ? *parsed : json::JsonValue();
+}
+
+TEST(JsonWriterTest, StringsRoundTripEveryByte) {
+  std::string s = "quote\" backslash\\ slash/ ";
+  for (int c = 0x00; c < 0x20; ++c) s.push_back(static_cast<char>(c));
+  s += " caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80 raw\xff";
+  json::Writer w;
+  w.BeginObject().Field(s, s).EndObject();
+  // Nothing below 0x20 survives unescaped.
+  for (const char c : w.str()) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+  }
+  EXPECT_NE(w.str().find("\\u0000"), std::string::npos);
+  EXPECT_NE(w.str().find("\\u001f"), std::string::npos);
+  EXPECT_NE(w.str().find("\\n"), std::string::npos);
+  const json::JsonValue doc = ParseOrDie(w.str());
+  ASSERT_EQ(doc.object_items().size(), 1u);
+  EXPECT_EQ(doc.object_items()[0].first, s);
+  EXPECT_EQ(doc.object_items()[0].second.string_value(), s);
+}
+
+TEST(JsonWriterTest, IntegersAreExact) {
+  json::Writer w;
+  w.BeginArray()
+      .Value(std::numeric_limits<int64_t>::min())
+      .Value(std::numeric_limits<int64_t>::max())
+      .Value(std::numeric_limits<uint64_t>::max())
+      .Value(0)
+      .Value(-1)
+      .EndArray();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808,9223372036854775807,"
+            "18446744073709551615,0,-1]");
+  const json::JsonValue doc = ParseOrDie(w.str());
+  ASSERT_EQ(doc.array_items().size(), 5u);
+  EXPECT_EQ(doc.array_items()[0].number_value(), -9223372036854775808.0);
+  EXPECT_EQ(doc.array_items()[2].number_value(), 18446744073709551615.0);
+}
+
+TEST(JsonWriterTest, DoublesRoundTripBitExact) {
+  const std::vector<double> values = {
+      0.1,     1e-300, -0.0, 1000001.0, 0.1234561, 0.1234562,
+      1.0 / 3, 5e-324, std::numeric_limits<double>::max()};
+  json::Writer w;
+  w.BeginArray();
+  for (const double v : values) w.Value(v);
+  w.EndArray();
+  const json::JsonValue doc = ParseOrDie(w.str());
+  ASSERT_EQ(doc.array_items().size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(doc.array_items()[i].number_value()),
+              std::bit_cast<uint64_t>(values[i]))
+        << w.str();
+  }
+  // Shortest digits: no padding, no precision loss.
+  EXPECT_EQ(w.str().substr(0, 28), "[0.1,1e-300,-0,1000001,0.123");
+}
+
+TEST(JsonWriterTest, NonFiniteNumbersAreNull) {
+  json::Writer w;
+  w.BeginObject()
+      .Field("nan", std::numeric_limits<double>::quiet_NaN())
+      .Field("inf", std::numeric_limits<double>::infinity())
+      .Field("ninf", -std::numeric_limits<double>::infinity())
+      .EndObject();
+  EXPECT_EQ(w.str(), "{\"nan\":null,\"inf\":null,\"ninf\":null}");
+  const json::JsonValue doc = ParseOrDie(w.str());
+  for (const auto& [key, value] : doc.object_items()) {
+    EXPECT_TRUE(value.is_null()) << key;
+  }
+}
+
+TEST(JsonWriterTest, EmptyAndNestedContainers) {
+  json::Writer w;
+  w.BeginObject()
+      .Key("a").BeginArray().EndArray()
+      .Key("o").BeginObject().EndObject()
+      .Key("n").BeginArray()
+      .BeginArray().BeginObject().EndObject().EndArray()
+      .BeginObject().Field("x", true).Key("y").Null().EndObject()
+      .Value("s")
+      .EndArray()
+      .EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"a\":[],\"o\":{},\"n\":[[{}],{\"x\":true,\"y\":null},\"s\"]}");
+  const json::JsonValue doc = ParseOrDie(w.str());
+  EXPECT_TRUE(doc.Find("a")->array_items().empty());
+  EXPECT_TRUE(doc.Find("o")->object_items().empty());
+  const auto& nested = doc.Find("n")->array_items();
+  ASSERT_EQ(nested.size(), 3u);
+  EXPECT_TRUE(nested[0].array_items()[0].is_object());
+  EXPECT_TRUE(nested[1].Find("x")->bool_value());
+  EXPECT_TRUE(nested[1].Find("y")->is_null());
+  EXPECT_EQ(nested[2].string_value(), "s");
+}
+
+// Every emitter in the repo writes through json::Writer; each document
+// must parse, including the strings that need escaping.
+
+TEST(JsonEmittersTest, RunReportWithQuotedQueryAndWarningParses) {
+  obs::TraceSession session;
+  session.Start();
+  { obs::ScopedSpan span("run", obs::Stage::kRun); }
+  session.Stop();
+  obs::RunInfo info;
+  info.query = "Q\"5\"\n\\";
+  info.engine = "rdf";
+  obs::RunReport report = obs::BuildRunReport(session, info, ScanStats{});
+  report.warnings.push_back("shard \"a b\"\tlost");
+  const json::JsonValue doc = ParseOrDie(obs::ReportToJson(report));
+  EXPECT_EQ(doc.Find("schema_version")->number_value(), 4.0);
+  EXPECT_EQ(doc.Find("query")->string_value(), info.query);
+  ASSERT_EQ(doc.Find("warnings")->array_items().size(), 1u);
+  EXPECT_EQ(doc.Find("warnings")->array_items()[0].string_value(),
+            "shard \"a b\"\tlost");
+  EXPECT_TRUE(doc.Find("metrics")->is_array());
+  EXPECT_EQ(doc.Find("figure4")->Find("cpu_ns_per_event")->number_value(),
+            0.0);
+}
+
+TEST(JsonEmittersTest, MetricsWithLabelledNamesParse) {
+  obs::metrics::SetMetricsEnabled(true);
+  obs::metrics::GetCounter("json_test_runs_total{engine=\"rdf\"}").Add(3);
+  obs::metrics::GetHistogram("json_test_ns{engine=\"rdf\"}").Observe(5000);
+  obs::metrics::SetMetricsEnabled(false);
+  const json::JsonValue doc = ParseOrDie(
+      obs::metrics::MetricsToJson(obs::metrics::SnapshotMetrics()));
+  EXPECT_EQ(doc.Find("bucket_bounds_ns")->array_items().size(),
+            static_cast<size_t>(obs::metrics::kHistogramBuckets));
+  int found = 0;
+  for (const json::JsonValue& metric : doc.Find("metrics")->array_items()) {
+    const std::string& name = metric.Find("name")->string_value();
+    if (name == "json_test_runs_total{engine=\"rdf\"}") {
+      EXPECT_EQ(metric.Find("value")->number_value(), 3.0);
+      ++found;
+    } else if (name == "json_test_ns{engine=\"rdf\"}") {
+      EXPECT_EQ(metric.Find("count")->number_value(), 1.0);
+      EXPECT_EQ(metric.Find("buckets")->array_items().size(),
+                static_cast<size_t>(obs::metrics::kHistogramBuckets + 1));
+      ++found;
+    }
+  }
+  EXPECT_EQ(found, 2);
+}
+
+TEST(JsonEmittersTest, BothTraceFormsParse) {
+  obs::TraceSession session;
+  session.Start();
+  {
+    obs::ScopedSpan span("run \"quoted\"", obs::Stage::kRun);
+    obs::ScopedSpan inner("row_group", obs::Stage::kRowGroup);
+  }
+  session.Stop();
+  // In-process: one process, empty shard range, no process_name.
+  std::vector<obs::ProcessReport> one;
+  one.push_back(
+      obs::BuildProcessReport(session, obs::RunInfo{}, ScanStats{}, 0, 0));
+  const json::JsonValue in_process = ParseOrDie(obs::ChromeTraceJson(one));
+  EXPECT_EQ(in_process.Find("traceEvents")->array_items().size(), 3u);
+  // Scattered: two workers plus a lost one (skipped), each named.
+  std::vector<obs::ProcessReport> workers;
+  workers.push_back(
+      obs::BuildProcessReport(session, obs::RunInfo{}, ScanStats{}, 0, 2));
+  workers.push_back(
+      obs::BuildProcessReport(session, obs::RunInfo{}, ScanStats{}, 2, 3));
+  workers.emplace_back();
+  workers.back().received = false;
+  const json::JsonValue stitched = ParseOrDie(obs::ChromeTraceJson(workers));
+  const auto& events = stitched.Find("traceEvents")->array_items();
+  ASSERT_EQ(events.size(), 8u);  // per worker: process + thread + 2 spans
+  EXPECT_EQ(events[0].Find("name")->string_value(), "process_name");
+  EXPECT_EQ(events[0].Find("args")->Find("name")->string_value(),
+            "worker p0 shards [0,2)");
+  EXPECT_EQ(events[2].Find("name")->string_value(), "run \"quoted\"");
+  EXPECT_EQ(events[7].Find("pid")->number_value(), 2.0);
+}
+
+TEST(JsonEmittersTest, BenchRecordsParse) {
+  bench::BenchJson records("json_test");
+  records.Add("Q\"1", "rdf", 0.25, 10, 20, 30);
+  records.AddTier("k", "simd", std::numeric_limits<double>::quiet_NaN(), 2,
+                  0.5);
+  const json::JsonValue doc = ParseOrDie(records.ToJson());
+  ASSERT_EQ(doc.array_items().size(), 2u);
+  EXPECT_EQ(doc.array_items()[0].Find("query")->string_value(), "Q\"1");
+  EXPECT_EQ(doc.array_items()[0].Find("cpu_s")->number_value(), 0.25);
+  EXPECT_EQ(doc.array_items()[0].Find("rows_pruned")->number_value(), 30.0);
+  EXPECT_TRUE(doc.array_items()[1].Find("ns_per_row")->is_null());
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -287,6 +288,28 @@ TEST_F(DocTest, GroupByHistogramIdiom) {
   for (const ItemPtr& count : counts) {
     EXPECT_EQ(count->AsDouble(), 10.0);
   }
+}
+
+TEST_F(DocTest, GroupByKeepsDistinctNumbersApart) {
+  // Group keys are the items' JSON text: numbers that a 6-digit rendering
+  // prints alike (1e+06, 0.123456) must stay distinct groups.
+  const Sequence numbers = {Item::Number(1000000), Item::Number(1000001),
+                            Item::Number(0.1234561), Item::Number(0.1234562)};
+  auto flwor = DFlwor({For("x", DVar("v")), GroupBy("x")}, DVar("x"));
+  const Sequence keys = EvalWith(flwor, "v", numbers);
+  ASSERT_EQ(keys.size(), 4u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(keys[i]->AsDouble(), numbers[i]->AsDouble());
+  }
+  // Non-finite numbers (written as JSON null) stay apart from null and
+  // from one another; strings needing escapes key distinctly.
+  const double inf = std::numeric_limits<double>::infinity();
+  const Sequence odd = {Item::Number(inf),    Item::Number(-inf),
+                        Item::Number(NAN),    Item::Null(),
+                        Item::Number(NAN),    Item::String("null"),
+                        Item::String("a\"b"), Item::String("a\\\"b")};
+  EXPECT_EQ(EvalWith(flwor, "v", odd).size(), 7u);
+  EXPECT_EQ(Item::String("a\"b")->ToJson(), "\"a\\\"b\"");
 }
 
 TEST_F(DocTest, GroupByErrors) {

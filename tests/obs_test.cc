@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/json.h"
 #include "exec/exec.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -337,22 +338,30 @@ TEST(ChromeTraceTest, WellFormedAndLoadsSpans) {
     inner.set_group(3);
   }
   session.Stop();
-  const std::string json = ChromeTraceJson(session);
+  std::vector<ProcessReport> processes;
+  processes.push_back(
+      BuildProcessReport(session, RunInfo{}, ScanStats{}, 0, 0));
+  const std::string json = ChromeTraceJson(processes);
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u) << json.substr(0, 40);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"row_group\""), std::string::npos);
-  EXPECT_NE(json.find("\"group\":3"), std::string::npos);
-  // Balanced braces/brackets (the writer emits no strings containing
-  // braces, so plain counting is a valid well-formedness check here).
-  int braces = 0, brackets = 0;
-  for (char c : json) {
-    braces += c == '{';
-    braces -= c == '}';
-    brackets += c == '[';
-    brackets -= c == ']';
+  auto parsed = hepq::json::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const hepq::json::JsonValue* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  // One thread: its thread_name metadata event plus the two spans, all
+  // pid 1 (an in-process run names no process).
+  ASSERT_EQ(events->array_items().size(), 3u);
+  EXPECT_EQ(events->array_items()[0].Find("name")->string_value(),
+            "thread_name");
+  int row_group_events = 0;
+  for (const hepq::json::JsonValue& event : events->array_items()) {
+    EXPECT_EQ(event.Find("pid")->number_value(), 1.0);
+    if (event.Find("ph")->string_value() != "X") continue;
+    if (event.Find("name")->string_value() != "row_group") continue;
+    ++row_group_events;
+    EXPECT_EQ(event.Find("cat")->string_value(), "row_group");
+    EXPECT_EQ(event.Find("args")->Find("group")->number_value(), 3.0);
   }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  EXPECT_EQ(row_group_events, 1);
 }
 
 TEST(ReportJsonTest, EscapesStrings) {

@@ -80,6 +80,27 @@ using hepq::queries::RunAdlQuery;
 
 namespace {
 
+/// A frontend by the name the CLI (and a --worker-shards child) takes.
+struct CliEngine {
+  EngineKind kind;
+  const char* cli_name;
+};
+
+/// The engines `name` selects, in run order: one by CLI name, all four
+/// for "all", none for anything else.
+std::vector<CliEngine> SelectEngines(const std::string& name) {
+  static constexpr CliEngine kEngines[] = {
+      {EngineKind::kRdf, "rdf"},
+      {EngineKind::kBigQueryShape, "bigquery"},
+      {EngineKind::kPrestoShape, "presto"},
+      {EngineKind::kDoc, "doc"}};
+  std::vector<CliEngine> selected;
+  for (const CliEngine& e : kEngines) {
+    if (name == "all" || name == e.cli_name) selected.push_back(e);
+  }
+  return selected;
+}
+
 struct ProfileOptions {
   bool enabled = false;       // --profile or --trace given
   bool table = false;         // --profile with no path: table to stderr
@@ -228,6 +249,46 @@ void RunSuite(EngineKind engine, const std::string& data,
   }
 }
 
+/// The RunReport header of one profiled query run.
+hepq::obs::RunInfo ProfiledRunInfo(EngineKind engine, int q,
+                                   const hepq::queries::RunOptions& options,
+                                   const hepq::queries::QueryRunOutput& run) {
+  hepq::obs::RunInfo info;
+  info.query = "Q" + std::to_string(q);
+  info.engine = EngineKindName(engine);
+  info.threads = options.num_threads;
+  info.events_processed = run.events_processed;
+  info.wall_seconds = run.wall_seconds;
+  info.cpu_seconds = run.cpu_seconds;
+  return info;
+}
+
+/// --profile/--trace output of one run, in-process or scattered: the
+/// table to stderr, the RunReport JSON and the Chrome trace of
+/// `processes` to their files (engine-suffixed under `all`).
+void WriteProfile(const ProfileOptions& profile,
+                  const hepq::obs::RunReport& report,
+                  const std::vector<hepq::obs::ProcessReport>& processes,
+                  bool suffix_outputs) {
+  if (profile.table) {
+    std::fputs(hepq::obs::ReportToTable(report).c_str(), stderr);
+  }
+  auto out_path = [&](const std::string& path) {
+    return suffix_outputs ? WithEngineSuffix(path, report.info.engine) : path;
+  };
+  if (!profile.report_path.empty()) {
+    const std::string out = out_path(profile.report_path);
+    hepq::obs::WriteTextFile(out, hepq::obs::ReportToJson(report)).Check();
+    std::fprintf(stderr, "run report: %s\n", out.c_str());
+  }
+  if (!profile.trace_path.empty()) {
+    const std::string out = out_path(profile.trace_path);
+    hepq::obs::WriteTextFile(out, hepq::obs::ChromeTraceJson(processes))
+        .Check();
+    std::fprintf(stderr, "chrome trace: %s\n", out.c_str());
+  }
+}
+
 void RunOne(EngineKind engine, int q, const std::string& path,
             const hepq::queries::RunOptions& options,
             const ProfileOptions& profile, bool suffix_outputs) {
@@ -242,34 +303,11 @@ void RunOne(EngineKind engine, int q, const std::string& path,
   PrintRunOutput(engine, *result);
 
   if (!profile.enabled) return;
-  hepq::obs::RunInfo info;
-  info.query = "Q";
-  info.query += std::to_string(q);
-  info.engine = EngineKindName(engine);
-  info.threads = options.num_threads;
-  info.events_processed = result->events_processed;
-  info.wall_seconds = result->wall_seconds;
-  info.cpu_seconds = result->cpu_seconds;
-  const hepq::obs::RunReport report =
-      hepq::obs::BuildRunReport(session, info, result->scan);
-  if (profile.table) {
-    std::fputs(hepq::obs::ReportToTable(report).c_str(), stderr);
-  }
-  if (!profile.report_path.empty()) {
-    const std::string out =
-        suffix_outputs ? WithEngineSuffix(profile.report_path, info.engine)
-                       : profile.report_path;
-    hepq::obs::WriteTextFile(out, hepq::obs::ReportToJson(report)).Check();
-    std::fprintf(stderr, "run report: %s\n", out.c_str());
-  }
-  if (!profile.trace_path.empty()) {
-    const std::string out =
-        suffix_outputs ? WithEngineSuffix(profile.trace_path, info.engine)
-                       : profile.trace_path;
-    hepq::obs::WriteTextFile(out, hepq::obs::ChromeTraceJson(session))
-        .Check();
-    std::fprintf(stderr, "chrome trace: %s\n", out.c_str());
-  }
+  std::vector<hepq::obs::ProcessReport> processes;
+  processes.push_back(hepq::obs::BuildProcessReport(
+      session, ProfiledRunInfo(engine, q, options, *result), result->scan, 0,
+      0));
+  WriteProfile(profile, processes.front().report, processes, suffix_outputs);
 }
 
 /// The dataset's sorted shard list: every "*.laq" of a directory, or the
@@ -300,9 +338,7 @@ int RunWorkerMode(EngineKind engine, int q, const std::string& data,
     return 1;
   }
   hepq::obs::TraceSession session;
-  int64_t events = 0;
-  double wall = 0.0, cpu = 0.0;
-  hepq::ScanStats scan;
+  hepq::queries::QueryRunOutput total;  // summed over the range's shards
   if (worker_report) {
     hepq::obs::metrics::SetMetricsEnabled(true);
     session.Start();
@@ -311,15 +347,9 @@ int RunWorkerMode(EngineKind engine, int q, const std::string& data,
   if (worker_report) {
     report_payload = [&]() {
       session.Stop();
-      hepq::obs::RunInfo info;
-      info.query = "Q" + std::to_string(q);
-      info.engine = EngineKindName(engine);
-      info.threads = options.num_threads;
-      info.events_processed = events;
-      info.wall_seconds = wall;
-      info.cpu_seconds = cpu;
       const hepq::obs::ProcessReport report = hepq::obs::BuildProcessReport(
-          session, info, scan, range.begin, range.end);
+          session, ProfiledRunInfo(engine, q, options, total), total.scan,
+          range.begin, range.end);
       return hepq::scatter::EncodeReportPayload(report);
     };
   }
@@ -328,10 +358,10 @@ int RunWorkerMode(EngineKind engine, int q, const std::string& data,
       [&](const std::string& shard) {
         auto result = RunAdlQuery(engine, q, shard, options);
         if (result.ok()) {
-          events += result->events_processed;
-          wall += result->wall_seconds;
-          cpu += result->cpu_seconds;
-          scan.Add(result->scan);
+          total.events_processed += result->events_processed;
+          total.wall_seconds += result->wall_seconds;
+          total.cpu_seconds += result->cpu_seconds;
+          total.scan.Add(result->scan);
         }
         return result;
       },
@@ -386,35 +416,11 @@ void RunScatteredOne(const char* self, EngineKind engine,
   PrintRunOutput(engine, *result);
 
   if (!profile.enabled) return;
-  hepq::obs::RunInfo info;
-  info.query = "Q";
-  info.query += std::to_string(q);
-  info.engine = EngineKindName(engine);
-  info.threads = options.num_threads;
-  info.events_processed = result->events_processed;
-  info.wall_seconds = result->wall_seconds;
-  info.cpu_seconds = result->cpu_seconds;
-  const hepq::obs::RunReport report =
-      hepq::obs::MergeProcessReports(info, result->scan, reports);
-  if (profile.table) {
-    std::fputs(hepq::obs::ReportToTable(report).c_str(), stderr);
-  }
-  if (!profile.report_path.empty()) {
-    const std::string out =
-        suffix_outputs ? WithEngineSuffix(profile.report_path, info.engine)
-                       : profile.report_path;
-    hepq::obs::WriteTextFile(out, hepq::obs::ReportToJson(report)).Check();
-    std::fprintf(stderr, "run report: %s\n", out.c_str());
-  }
-  if (!profile.trace_path.empty()) {
-    const std::string out =
-        suffix_outputs ? WithEngineSuffix(profile.trace_path, info.engine)
-                       : profile.trace_path;
-    hepq::obs::WriteTextFile(out,
-                             hepq::obs::MultiProcessChromeTraceJson(reports))
-        .Check();
-    std::fprintf(stderr, "chrome trace: %s\n", out.c_str());
-  }
+  WriteProfile(profile,
+               hepq::obs::MergeProcessReports(
+                   ProfiledRunInfo(engine, q, options, *result), result->scan,
+                   reports),
+               reports, suffix_outputs);
 }
 
 }  // namespace
@@ -590,45 +596,25 @@ int main(int argc, char** argv) {
     std::printf("8-query suite   data: %s   passes: %d   cache: %s\n\n",
                 data.c_str(), repeat,
                 options.chunk_cache != nullptr ? "on" : "off");
-    const struct {
-      EngineKind kind;
-      const char* cli_name;
-    } engines[] = {{EngineKind::kRdf, "rdf"},
-                   {EngineKind::kBigQueryShape, "bigquery"},
-                   {EngineKind::kPrestoShape, "presto"},
-                   {EngineKind::kDoc, "doc"}};
-    bool ran = false;
-    for (const auto& e : engines) {
-      if (engine_name == "all" || engine_name == e.cli_name) {
-        RunSuite(e.kind, data, options, repeat);
-        ran = true;
-      }
-    }
-    if (!ran) {
+    const std::vector<CliEngine> engines = SelectEngines(engine_name);
+    if (engines.empty()) {
       std::fprintf(stderr, "unknown engine '%s'\n", engine_name.c_str());
       return 2;
     }
+    for (const CliEngine& e : engines) RunSuite(e.kind, data, options, repeat);
     DumpMetrics(metrics);
     return 0;
   }
 
   if (worker_mode) {
     // Stdout is the frame wire; nothing human-readable may touch it.
-    EngineKind engine;
-    if (engine_name == "rdf") {
-      engine = EngineKind::kRdf;
-    } else if (engine_name == "bigquery") {
-      engine = EngineKind::kBigQueryShape;
-    } else if (engine_name == "presto") {
-      engine = EngineKind::kPrestoShape;
-    } else if (engine_name == "doc") {
-      engine = EngineKind::kDoc;
-    } else {
+    const std::vector<CliEngine> engines = SelectEngines(engine_name);
+    if (engines.size() != 1) {
       std::fprintf(stderr, "--worker-shards needs a single engine, got '%s'\n",
                    engine_name.c_str());
       return 2;
     }
-    return RunWorkerMode(engine, q, data, options, worker_shards,
+    return RunWorkerMode(engines[0].kind, q, data, options, worker_shards,
                          worker_report);
   }
 
@@ -648,43 +634,20 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (engine_name == "all") {
-    const struct {
-      EngineKind kind;
-      const char* cli_name;  // what --worker-shards children parse
-    } engines[] = {{EngineKind::kRdf, "rdf"},
-                   {EngineKind::kBigQueryShape, "bigquery"},
-                   {EngineKind::kPrestoShape, "presto"},
-                   {EngineKind::kDoc, "doc"}};
-    for (const auto& e : engines) {
-      if (procs > 1) {
-        RunScatteredOne(argv[0], e.kind, e.cli_name, q, data, options, procs,
-                        profile, metrics.enabled, /*suffix_outputs=*/true);
-      } else {
-        RunOne(e.kind, q, data, options, profile, /*suffix_outputs=*/true);
-      }
-    }
-    DumpMetrics(metrics);
-    return 0;
-  }
-  EngineKind engine;
-  if (engine_name == "rdf") {
-    engine = EngineKind::kRdf;
-  } else if (engine_name == "bigquery") {
-    engine = EngineKind::kBigQueryShape;
-  } else if (engine_name == "presto") {
-    engine = EngineKind::kPrestoShape;
-  } else if (engine_name == "doc") {
-    engine = EngineKind::kDoc;
-  } else {
+  const std::vector<CliEngine> engines = SelectEngines(engine_name);
+  if (engines.empty()) {
     std::fprintf(stderr, "unknown engine '%s'\n", engine_name.c_str());
     return 2;
   }
-  if (procs > 1) {
-    RunScatteredOne(argv[0], engine, engine_name, q, data, options, procs,
-                    profile, metrics.enabled, /*suffix_outputs=*/false);
-  } else {
-    RunOne(engine, q, data, options, profile, /*suffix_outputs=*/false);
+  // Under `all`, per-engine output files get an engine suffix.
+  const bool suffix_outputs = engines.size() > 1;
+  for (const CliEngine& e : engines) {
+    if (procs > 1) {
+      RunScatteredOne(argv[0], e.kind, e.cli_name, q, data, options, procs,
+                      profile, metrics.enabled, suffix_outputs);
+    } else {
+      RunOne(e.kind, q, data, options, profile, suffix_outputs);
+    }
   }
   DumpMetrics(metrics);
   return 0;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "core/json.h"
 #include "fileio/dataset_reader.h"
 #include "fileio/layout_optimizer.h"
 #include "fileio/reader.h"
@@ -60,6 +61,24 @@ void PrintFooterCacheStats(const std::vector<std::string>& files) {
                static_cast<unsigned long long>(c.hits),
                static_cast<unsigned long long>(c.misses),
                static_cast<unsigned long long>(c.entries), files.size());
+}
+
+/// One per-leaf object of the --json layout summary (the file and the
+/// dataset-directory documents share it).
+void WriteLeafJson(hepq::json::Writer* w, const std::string& path,
+                   const std::string& encoding, uint64_t storage_bytes,
+                   uint64_t pages, uint64_t prunable_pages) {
+  w->BeginObject()
+      .Field("path", path)
+      .Field("encoding", encoding)
+      .Field("storage_bytes", storage_bytes)
+      .Field("pages", pages)
+      .Field("prunable_pages", prunable_pages)
+      .Field("prunable_fraction",
+             pages > 0 ? static_cast<double>(prunable_pages) /
+                             static_cast<double>(pages)
+                       : 0.0)
+      .EndObject();
 }
 
 /// Dataset-directory inspection: per-shard analysis rows plus per-leaf
@@ -129,25 +148,20 @@ int InspectDirectory(const std::string& dir, bool json, bool cache_stats) {
     }
   }
   if (json) {
-    std::printf("{\"dataset\": \"%s\", \"files\": %zu, \"rows\": %lld, "
-                "\"row_groups\": %d, \"storage_bytes\": %llu, \"leaves\": [",
-                dir.c_str(), files.size(), total_rows, total_groups,
-                total_bytes);
-    for (size_t l = 0; l < leaves.size(); ++l) {
-      const LeafTotal& leaf = leaves[l];
-      std::printf("%s{\"path\": \"%s\", \"encoding\": \"%s\", "
-                  "\"storage_bytes\": %llu, \"pages\": %llu, "
-                  "\"prunable_pages\": %llu, \"prunable_fraction\": %.4f}",
-                  l == 0 ? "" : ", ", leaf.path.c_str(),
-                  leaf.encoding.c_str(),
-                  static_cast<unsigned long long>(leaf.storage_bytes),
-                  static_cast<unsigned long long>(leaf.pages),
-                  static_cast<unsigned long long>(leaf.prunable_pages),
-                  leaf.pages > 0 ? static_cast<double>(leaf.prunable_pages) /
-                                       static_cast<double>(leaf.pages)
-                                 : 0.0);
+    hepq::json::Writer w;
+    w.BeginObject()
+        .Field("dataset", dir)
+        .Field("files", files.size())
+        .Field("rows", total_rows)
+        .Field("row_groups", total_groups)
+        .Field("storage_bytes", total_bytes)
+        .Key("leaves")
+        .BeginArray();
+    for (const LeafTotal& leaf : leaves) {
+      WriteLeafJson(&w, leaf.path, leaf.encoding, leaf.storage_bytes,
+                    leaf.pages, leaf.prunable_pages);
     }
-    std::printf("]}\n");
+    std::puts(w.EndArray().EndObject().str().c_str());
     if (cache_stats) PrintFooterCacheStats(files);
     return 0;
   }
@@ -207,24 +221,19 @@ int main(int argc, char** argv) {
       return 1;
     }
     const hepq::LayoutAnalysis& analysis = *analysis_result;
-    std::printf("{\"file\": \"%s\", \"rows\": %lld, \"row_groups\": %d, "
-                "\"storage_bytes\": %llu, \"leaves\": [",
-                path.c_str(), static_cast<long long>(analysis.total_rows),
-                analysis.row_groups,
-                static_cast<unsigned long long>(analysis.storage_bytes));
-    for (size_t l = 0; l < analysis.leaves.size(); ++l) {
-      const hepq::LeafLayoutSummary& leaf = analysis.leaves[l];
-      std::printf("%s{\"path\": \"%s\", \"encoding\": \"%s\", "
-                  "\"storage_bytes\": %llu, \"pages\": %llu, "
-                  "\"prunable_pages\": %llu, \"prunable_fraction\": %.4f}",
-                  l == 0 ? "" : ", ", leaf.path.c_str(),
-                  EncodingName(leaf.encoding),
-                  static_cast<unsigned long long>(leaf.storage_bytes),
-                  static_cast<unsigned long long>(leaf.pages),
-                  static_cast<unsigned long long>(leaf.prunable_pages),
-                  leaf.prunable_fraction());
+    hepq::json::Writer w;
+    w.BeginObject()
+        .Field("file", path)
+        .Field("rows", analysis.total_rows)
+        .Field("row_groups", analysis.row_groups)
+        .Field("storage_bytes", analysis.storage_bytes)
+        .Key("leaves")
+        .BeginArray();
+    for (const hepq::LeafLayoutSummary& leaf : analysis.leaves) {
+      WriteLeafJson(&w, leaf.path, EncodingName(leaf.encoding),
+                    leaf.storage_bytes, leaf.pages, leaf.prunable_pages);
     }
-    std::printf("]}\n");
+    std::puts(w.EndArray().EndObject().str().c_str());
     if (cache_stats) PrintFooterCacheStats({path});
     return 0;
   }
