@@ -147,19 +147,22 @@ class BenchJson {
   /// Tier record: one (kernel, tier) measurement from the
   /// micro-benchmarks. ns_per_row is the normalized cost (per byte for
   /// the CRC-32 kernels); fused_coverage is the fraction of source VOps
-  /// absorbed into superinstructions (simd tier only, 0 otherwise). CI
-  /// compares ns_per_row ratios against
+  /// absorbed into superinstructions (simd tier only, 0 otherwise).
+  /// `path` names the CPU path a dispatched kernel ran (CRC-32: "pclmul"
+  /// or "portable"; omitted when empty) so the gate can pick that path's
+  /// floor. CI compares ns_per_row ratios against
   /// bench/baselines/micro_kernels_tiers.json.
   void AddTier(const std::string& kernel, const std::string& tier,
-               double ns_per_row, double vops_per_row,
-               double fused_coverage) {
+               double ns_per_row, double vops_per_row, double fused_coverage,
+               const std::string& path = "") {
     records_.BeginObject()
         .Field("kernel", kernel)
         .Field("tier", tier)
         .Field("ns_per_row", ns_per_row)
         .Field("vops_per_row", vops_per_row)
-        .Field("fused_coverage", fused_coverage)
-        .EndObject();
+        .Field("fused_coverage", fused_coverage);
+    if (!path.empty()) records_.Field("path", path);
+    records_.EndObject();
   }
 
   /// Scale-out record: one (query, procs, threads) measurement from a

@@ -100,6 +100,15 @@ Crc32Record g_crc32[2][2];
 const char* const kCrc32Tiers[2] = {"reference", "dispatch"};
 const char* const kCrc32Kernels[2] = {"crc32_4k", "crc32"};
 
+/// The kernel the dispatched Crc32 runs on this CPU; the tier gate keeps
+/// one reference/dispatch floor per path.
+const char* Crc32DispatchPath() {
+#ifdef HEPQ_CRC32_HAS_CLMUL
+  if (detail::Crc32ClmulSupported()) return "pclmul";
+#endif
+  return "portable";
+}
+
 void BM_Crc32(benchmark::State& state) {
   const int tier = static_cast<int>(state.range(0));
   const size_t size = static_cast<size_t>(state.range(1));
@@ -647,7 +656,7 @@ void BM_ExprSimpleCut(benchmark::State& state) {
   auto kernel = CompiledExprKernel::Compile(cut).ValueOrDie();
   VexprScratch scratch;
   if (compiled) {  // warm the strip-block/lane pools to high-water capacity
-    kernel.Eval(bindings, rows, &scratch, out.data(), nullptr).Check();
+    kernel.Eval(bindings, nullptr, rows, &scratch, out.data(), nullptr).Check();
   }
   uint64_t allocations = 0;
   int64_t kernel_ns = 0;
@@ -656,7 +665,8 @@ void BM_ExprSimpleCut(benchmark::State& state) {
         g_heap_allocations.load(std::memory_order_relaxed);
     const int64_t t0 = SteadyNowNs();
     if (compiled) {
-      kernel.Eval(bindings, rows, &scratch, out.data(), nullptr).Check();
+      kernel.Eval(bindings, nullptr, rows, &scratch, out.data(), nullptr)
+          .Check();
     } else {
       for (int64_t row = 0; row < rows; ++row) {
         EvalContext ctx;
@@ -724,7 +734,7 @@ void BM_ExprFusedGateFill(benchmark::State& state) {
   std::vector<uint32_t> sel(static_cast<size_t>(rows));
   {  // warm-up + cross-check: both shapes select the same rows
     std::vector<uint32_t> ref(static_cast<size_t>(rows));
-    kernel.Eval(bindings, rows, &scratch, out.data(), nullptr).Check();
+    kernel.Eval(bindings, nullptr, rows, &scratch, out.data(), nullptr).Check();
     int ref_kept = 0;
     for (int64_t i = 0; i < rows; ++i) {
       if (out[static_cast<size_t>(i)] != 0.0) {
@@ -732,7 +742,7 @@ void BM_ExprFusedGateFill(benchmark::State& state) {
       }
     }
     const int kept =
-        kernel.Gate(bindings, rows, &scratch, sel.data(), nullptr)
+        kernel.Gate(bindings, nullptr, rows, &scratch, sel.data(), nullptr)
             .ValueOrDie();
     if (kept != ref_kept ||
         std::memcmp(sel.data(), ref.data(),
@@ -744,10 +754,11 @@ void BM_ExprFusedGateFill(benchmark::State& state) {
   int kept = 0;
   for (auto _ : state) {
     if (fused) {
-      kept = kernel.Gate(bindings, rows, &scratch, sel.data(), nullptr)
+      kept = kernel.Gate(bindings, nullptr, rows, &scratch, sel.data(), nullptr)
                  .ValueOrDie();
     } else {
-      kernel.Eval(bindings, rows, &scratch, out.data(), nullptr).Check();
+      kernel.Eval(bindings, nullptr, rows, &scratch, out.data(), nullptr)
+          .Check();
       kept = 0;
       for (int64_t i = 0; i < rows; ++i) {
         if (out[static_cast<size_t>(i)] != 0.0) {
@@ -915,7 +926,7 @@ int main(int argc, char** argv) {
         const auto& r = hepq::g_crc32[size][t];
         if (!r.set) continue;
         json.AddTier(hepq::kCrc32Kernels[size], hepq::kCrc32Tiers[t],
-                     r.ns_per_byte, 0.0, 0.0);
+                     r.ns_per_byte, 0.0, 0.0, hepq::Crc32DispatchPath());
       }
     }
     json.Write();

@@ -174,13 +174,36 @@ class Parser {
     return Error(std::string("unexpected character '") + c + "'");
   }
 
+  bool ConsumeDigits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?. Only
+  /// the validated span reaches strtod, so its extensions (inf, nan, hex,
+  /// a bare '.') never parse as numbers.
   Result<JsonValue> ParseNumber() {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start) return Error("malformed number");
-    pos_ += static_cast<size_t>(end - start);
-    return JsonValue::Number(value);
+    const size_t start = pos_;
+    Consume('-');
+    if (Consume('0')) {
+      if (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        return Error("leading zero in number");
+      }
+    } else if (!ConsumeDigits()) {
+      return Error("malformed number");
+    }
+    if (Consume('.') && !ConsumeDigits()) {
+      return Error("expected digits after '.'");
+    }
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!ConsumeDigits()) return Error("expected exponent digits");
+    }
+    const std::string span = text_.substr(start, pos_ - start);
+    return JsonValue::Number(std::strtod(span.c_str(), nullptr));
   }
 
   Result<std::string> ParseString() {
@@ -189,6 +212,10 @@ class Parser {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        return Error("raw control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;

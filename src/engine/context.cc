@@ -128,6 +128,16 @@ Status BatchBindings::BindUnion(const RecordBatch& batch,
   return Status::OK();
 }
 
+BatchBindings BatchBindings::Float64Scalars(
+    const std::vector<const double*>& columns) {
+  BatchBindings out;
+  out.scalars_.reserve(columns.size());
+  for (const double* column : columns) {
+    out.scalars_.push_back(MemberAccessor{TypeId::kFloat64, column});
+  }
+  return out;
+}
+
 Result<BatchBindings> BatchBindings::Bind(
     const RecordBatch& batch, const std::vector<ListDecl>& lists,
     const std::vector<ScalarDecl>& scalars) {

@@ -94,6 +94,11 @@ class BatchBindings {
   static Result<BatchBindings> Bind(const RecordBatch& batch,
                                     const std::vector<ListDecl>& lists,
                                     const std::vector<ScalarDecl>& scalars);
+  /// Binds scalar slot i to the double column `columns[i]` (null leaves
+  /// the slot unbound): the flat rows of the Presto plan shape, whose
+  /// named columns are the ScalarRef slots of its expressions.
+  static BatchBindings Float64Scalars(
+      const std::vector<const double*>& columns);
 
   const ListBinding& list(int slot) const {
     return lists_[static_cast<size_t>(slot)];

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/stopwatch.h"
@@ -121,85 +120,11 @@ std::vector<std::string> EventQuery::Projection() const {
   return projection;
 }
 
-namespace {
-
-/// Flattens nested kAnd nodes into their conjuncts. Every conjunct of a
-/// stage gates all fills (an event must pass the whole stage before any
-/// histogram fill runs), the soundness requirement of predicate.h.
-void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  const ExprShape s = e->Shape();
-  if (s.kind == ExprShape::Kind::kBin && s.bin_op == BinOp::kAnd) {
-    SplitConjuncts(s.operands[0], out);
-    SplitConjuncts(s.operands[1], out);
-    return;
-  }
-  out->push_back(e);
-}
-
-/// `x op lit` as a closed conservative range on x. kNe carries no range
-/// information; the arithmetic/logic ops are not comparisons.
-bool CmpToRange(BinOp op, double lit, double* lo, double* hi) {
-  const double inf = std::numeric_limits<double>::infinity();
-  switch (op) {
-    case BinOp::kGt:
-    case BinOp::kGe:
-      *lo = lit;
-      *hi = inf;
-      return true;
-    case BinOp::kLt:
-    case BinOp::kLe:
-      *lo = -inf;
-      *hi = lit;
-      return true;
-    case BinOp::kEq:
-      *lo = lit;
-      *hi = lit;
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Rewrites `lit op x` as `x op' lit`.
-BinOp MirrorCmp(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-      return BinOp::kGt;
-    case BinOp::kLe:
-      return BinOp::kGe;
-    case BinOp::kGt:
-      return BinOp::kLt;
-    case BinOp::kGe:
-      return BinOp::kLe;
-    default:
-      return op;
-  }
-}
-
-/// Decomposes a conjunct of the form `var cmp literal` (either operand
-/// order). Returns the variable side and the comparison normalized to
-/// have the variable on the left.
-const Expr* MatchCmpWithLit(const ExprShape& s, BinOp* op, double* lit) {
-  if (s.kind != ExprShape::Kind::kBin) return nullptr;
-  const ExprShape lhs = s.operands[0]->Shape();
-  const ExprShape rhs = s.operands[1]->Shape();
-  if (rhs.kind == ExprShape::Kind::kLit) {
-    *op = s.bin_op;
-    *lit = rhs.lit;
-    return s.operands[0];
-  }
-  if (lhs.kind == ExprShape::Kind::kLit) {
-    *op = MirrorCmp(s.bin_op);
-    *lit = lhs.lit;
-    return s.operands[1];
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 ScanPredicateSet EventQuery::ScanPredicates() const {
   ScanPredicateSet preds;
+  // Every conjunct of a stage gates all fills (an event must pass the
+  // whole stage before any histogram fill runs), the soundness
+  // requirement of predicate.h.
   std::vector<const Expr*> conjuncts;
   for (const ExprPtr& stage : stages_) {
     SplitConjuncts(stage.get(), &conjuncts);

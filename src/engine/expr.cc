@@ -565,4 +565,68 @@ ExprPtr BestElement(int list_slot, int iter_slot, ExprPtr filter,
                          std::move(key));
 }
 
+void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
+  const ExprShape s = e->Shape();
+  if (s.kind == ExprShape::Kind::kBin && s.bin_op == BinOp::kAnd) {
+    SplitConjuncts(s.operands[0], out);
+    SplitConjuncts(s.operands[1], out);
+    return;
+  }
+  out->push_back(e);
+}
+
+bool CmpToRange(BinOp op, double lit, double* lo, double* hi) {
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (op) {
+    case BinOp::kGt:
+    case BinOp::kGe:
+      *lo = lit;
+      *hi = inf;
+      return true;
+    case BinOp::kLt:
+    case BinOp::kLe:
+      *lo = -inf;
+      *hi = lit;
+      return true;
+    case BinOp::kEq:
+      *lo = lit;
+      *hi = lit;
+      return true;
+    default:
+      return false;
+  }
+}
+
+BinOp MirrorCmp(BinOp op) {
+  switch (op) {
+    case BinOp::kLt:
+      return BinOp::kGt;
+    case BinOp::kLe:
+      return BinOp::kGe;
+    case BinOp::kGt:
+      return BinOp::kLt;
+    case BinOp::kGe:
+      return BinOp::kLe;
+    default:
+      return op;
+  }
+}
+
+const Expr* MatchCmpWithLit(const ExprShape& s, BinOp* op, double* lit) {
+  if (s.kind != ExprShape::Kind::kBin) return nullptr;
+  const ExprShape lhs = s.operands[0]->Shape();
+  const ExprShape rhs = s.operands[1]->Shape();
+  if (rhs.kind == ExprShape::Kind::kLit) {
+    *op = s.bin_op;
+    *lit = rhs.lit;
+    return s.operands[0];
+  }
+  if (lhs.kind == ExprShape::Kind::kLit) {
+    *op = MirrorCmp(s.bin_op);
+    *lit = lhs.lit;
+    return s.operands[1];
+  }
+  return nullptr;
+}
+
 }  // namespace hepq::engine

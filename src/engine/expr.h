@@ -198,6 +198,26 @@ inline ExprPtr Or(ExprPtr a, ExprPtr b) {
 inline ExprPtr Abs(ExprPtr a) { return Call(Fn::kAbs, {std::move(a)}); }
 inline ExprPtr Not(ExprPtr a) { return Call(Fn::kNot, {std::move(a)}); }
 
+// ---- Predicate matchers ---------------------------------------------------
+//
+// Shared by the scan-predicate extraction of both SQL plan shapes and by
+// the compiler's conjunct lowering.
+
+/// Flattens nested kAnd nodes into their conjuncts, left to right.
+void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out);
+
+/// `x op lit` as a closed conservative range on x. kNe carries no range
+/// information; the arithmetic/logic ops are not comparisons.
+bool CmpToRange(BinOp op, double lit, double* lo, double* hi);
+
+/// Rewrites `lit op x` as `x op' lit`.
+BinOp MirrorCmp(BinOp op);
+
+/// Decomposes a node of the form `var cmp literal` (either operand
+/// order). Returns the variable side and the comparison normalized to
+/// have the variable on the left, or null when `s` has no literal side.
+const Expr* MatchCmpWithLit(const ExprShape& s, BinOp* op, double* lit);
+
 }  // namespace hepq::engine
 
 #endif  // HEPQUERY_ENGINE_EXPR_H_

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/physics.h"
 #include "core/stopwatch.h"
 #include "engine/vexpr.h"
 #include "exec/exec.h"
@@ -28,186 +27,6 @@ void FlatBatch::Clear() {
 }
 
 namespace {
-
-class FlatLitExpr final : public FlatExpr {
- public:
-  explicit FlatLitExpr(double v) : value_(v) {}
-  double Eval(const FlatBatch&, size_t) const override { return value_; }
-  Status Resolve(const FlatBatch&) override { return Status::OK(); }
-  Result<int> Lower(VProgramBuilder* builder) const override {
-    return builder->Const(value_);
-  }
-  FlatShape Shape() const override {
-    FlatShape s;
-    s.kind = FlatShape::Kind::kLit;
-    s.lit = value_;
-    return s;
-  }
-
- private:
-  double value_;
-};
-
-class FlatColExpr final : public FlatExpr {
- public:
-  explicit FlatColExpr(std::string name) : name_(std::move(name)) {}
-  double Eval(const FlatBatch& batch, size_t row) const override {
-    return batch.columns[static_cast<size_t>(index_)][row];
-  }
-  Status Resolve(const FlatBatch& batch) override {
-    index_ = batch.ColumnIndex(name_);
-    if (index_ < 0) {
-      return Status::KeyError("flat pipeline has no column '" + name_ + "'");
-    }
-    return Status::OK();
-  }
-  Result<int> Lower(VProgramBuilder* builder) const override {
-    if (index_ < 0) {
-      return Status::Invalid("FlatColExpr '" + name_ +
-                             "' lowered before Resolve");
-    }
-    return builder->Load(index_);
-  }
-  FlatShape Shape() const override {
-    FlatShape s;
-    s.kind = FlatShape::Kind::kCol;
-    s.col = name_;
-    return s;
-  }
-
- private:
-  std::string name_;
-  int index_ = -1;
-};
-
-class FlatBinExpr final : public FlatExpr {
- public:
-  FlatBinExpr(BinOp op, FlatExprPtr lhs, FlatExprPtr rhs)
-      : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-  double Eval(const FlatBatch& batch, size_t row) const override {
-    if (op_ == BinOp::kAnd) {
-      return lhs_->EvalBool(batch, row) && rhs_->EvalBool(batch, row) ? 1.0
-                                                                      : 0.0;
-    }
-    if (op_ == BinOp::kOr) {
-      return lhs_->EvalBool(batch, row) || rhs_->EvalBool(batch, row) ? 1.0
-                                                                      : 0.0;
-    }
-    const double a = lhs_->Eval(batch, row);
-    const double b = rhs_->Eval(batch, row);
-    switch (op_) {
-      case BinOp::kAdd:
-        return a + b;
-      case BinOp::kSub:
-        return a - b;
-      case BinOp::kMul:
-        return a * b;
-      case BinOp::kDiv:
-        return a / b;
-      case BinOp::kLt:
-        return a < b ? 1.0 : 0.0;
-      case BinOp::kLe:
-        return a <= b ? 1.0 : 0.0;
-      case BinOp::kGt:
-        return a > b ? 1.0 : 0.0;
-      case BinOp::kGe:
-        return a >= b ? 1.0 : 0.0;
-      case BinOp::kEq:
-        return a == b ? 1.0 : 0.0;
-      case BinOp::kNe:
-        return a != b ? 1.0 : 0.0;
-      default:
-        return 0.0;
-    }
-  }
-  Status Resolve(const FlatBatch& batch) override {
-    HEPQ_RETURN_NOT_OK(lhs_->Resolve(batch));
-    return rhs_->Resolve(batch);
-  }
-  Result<int> Lower(VProgramBuilder* builder) const override {
-    // Flat expressions are pure, so evaluating both sides of And/Or
-    // eagerly is exact — the short-circuit above is only a scalar-path
-    // optimization.
-    int lhs, rhs;
-    HEPQ_ASSIGN_OR_RETURN(lhs, lhs_->Lower(builder));
-    HEPQ_ASSIGN_OR_RETURN(rhs, rhs_->Lower(builder));
-    return builder->Op(VOpFor(op_), {lhs, rhs});
-  }
-  FlatShape Shape() const override {
-    FlatShape s;
-    s.kind = FlatShape::Kind::kBin;
-    s.bin_op = op_;
-    s.lhs = lhs_.get();
-    s.rhs = rhs_.get();
-    return s;
-  }
-
- private:
-  BinOp op_;
-  FlatExprPtr lhs_;
-  FlatExprPtr rhs_;
-};
-
-class FlatCallExpr final : public FlatExpr {
- public:
-  FlatCallExpr(Fn fn, std::vector<FlatExprPtr> args)
-      : fn_(fn), args_(std::move(args)) {}
-  double Eval(const FlatBatch& batch, size_t row) const override {
-    double v[12];
-    for (size_t i = 0; i < args_.size(); ++i) {
-      v[i] = args_[i]->Eval(batch, row);
-    }
-    switch (fn_) {
-      case Fn::kAbs:
-        return std::abs(v[0]);
-      case Fn::kSqrt:
-        return std::sqrt(v[0]);
-      case Fn::kNot:
-        return v[0] != 0.0 ? 0.0 : 1.0;
-      case Fn::kMin2:
-        return std::min(v[0], v[1]);
-      case Fn::kMax2:
-        return std::max(v[0], v[1]);
-      case Fn::kDeltaPhi:
-        return DeltaPhi(v[0], v[1]);
-      case Fn::kDeltaR:
-        return DeltaR(v[0], v[1], v[2], v[3]);
-      case Fn::kInvMass2:
-        return InvariantMass2({v[0], v[1], v[2], v[3]},
-                              {v[4], v[5], v[6], v[7]});
-      case Fn::kInvMass3:
-        return InvariantMass3({v[0], v[1], v[2], v[3]},
-                              {v[4], v[5], v[6], v[7]},
-                              {v[8], v[9], v[10], v[11]});
-      case Fn::kSumPt3:
-        return AddPtEtaPhiM3({v[0], v[1], v[2], v[3]},
-                             {v[4], v[5], v[6], v[7]},
-                             {v[8], v[9], v[10], v[11]})
-            .pt;
-      case Fn::kTransverseMass:
-        return TransverseMass(v[0], v[1], v[2], v[3]);
-    }
-    return 0.0;
-  }
-  Status Resolve(const FlatBatch& batch) override {
-    for (auto& arg : args_) HEPQ_RETURN_NOT_OK(arg->Resolve(batch));
-    return Status::OK();
-  }
-  Result<int> Lower(VProgramBuilder* builder) const override {
-    std::vector<int> regs;
-    regs.reserve(args_.size());
-    for (const FlatExprPtr& arg : args_) {
-      int reg;
-      HEPQ_ASSIGN_OR_RETURN(reg, arg->Lower(builder));
-      regs.push_back(reg);
-    }
-    return builder->Op(VOpFor(fn_), regs);
-  }
-
- private:
-  Fn fn_;
-  std::vector<FlatExprPtr> args_;
-};
 
 /// Hash aggregation state, keyed by the __event column.
 class EventAggregator {
@@ -363,19 +182,58 @@ class EventAggregator {
 
 constexpr size_t kChunkRows = 32768;
 
+/// Checks that `e` is a flat-row expression (literals, column refs,
+/// operators and calls) whose every column slot resolves in `cols` (slot
+/// -> column index of the layout it runs over, -1 where the name is
+/// missing).
+Status CheckRowExpr(const Expr& e, const std::vector<int>& cols,
+                    const std::vector<std::string>& names) {
+  const ExprShape s = e.Shape();
+  switch (s.kind) {
+    case ExprShape::Kind::kLit:
+      return Status::OK();
+    case ExprShape::Kind::kScalarRef: {
+      const size_t slot = static_cast<size_t>(s.scalar_slot);
+      if (s.scalar_slot < 0 || slot >= cols.size()) {
+        return Status::KeyError("flat pipeline has no column slot " +
+                                std::to_string(s.scalar_slot));
+      }
+      if (cols[slot] < 0) {
+        return Status::KeyError("flat pipeline has no column '" +
+                                names[slot] + "'");
+      }
+      return Status::OK();
+    }
+    case ExprShape::Kind::kBin:
+    case ExprShape::Kind::kCall:
+      for (const Expr* operand : s.operands) {
+        HEPQ_RETURN_NOT_OK(CheckRowExpr(*operand, cols, names));
+      }
+      return Status::OK();
+    default:
+      return Status::Invalid("not a flat-row expression: " + e.ToString());
+  }
+}
+
+/// Binds column slot i to `batch` column cols[i] (unbound where -1).
+BatchBindings BindFlat(const FlatBatch& batch, const std::vector<int>& cols) {
+  std::vector<const double*> data(cols.size(), nullptr);
+  for (size_t slot = 0; slot < cols.size(); ++slot) {
+    if (cols[slot] >= 0) {
+      data[slot] = batch.columns[static_cast<size_t>(cols[slot])].data();
+    }
+  }
+  return BatchBindings::Float64Scalars(data);
+}
+
 }  // namespace
 
-FlatExprPtr FlatLit(double value) {
-  return std::make_shared<FlatLitExpr>(value);
-}
-FlatExprPtr FlatCol(std::string name) {
-  return std::make_shared<FlatColExpr>(std::move(name));
-}
-FlatExprPtr FlatBin(BinOp op, FlatExprPtr lhs, FlatExprPtr rhs) {
-  return std::make_shared<FlatBinExpr>(op, std::move(lhs), std::move(rhs));
-}
-FlatExprPtr FlatCall(Fn fn, std::vector<FlatExprPtr> args) {
-  return std::make_shared<FlatCallExpr>(fn, std::move(args));
+int FlatPipeline::Column(const std::string& name) {
+  for (size_t slot = 0; slot < columns_.size(); ++slot) {
+    if (columns_[slot] == name) return static_cast<int>(slot);
+  }
+  columns_.push_back(name);
+  return static_cast<int>(columns_.size()) - 1;
 }
 
 void FlatPipeline::AddUnnest(UnnestList list) {
@@ -384,13 +242,13 @@ void FlatPipeline::AddUnnest(UnnestList list) {
 void FlatPipeline::AddKeepScalar(const std::string& leaf_path) {
   keep_scalars_.push_back(leaf_path);
 }
-void FlatPipeline::AddFilter(FlatExprPtr predicate) {
+void FlatPipeline::AddFilter(ExprPtr predicate) {
   Step step;
   step.is_filter = true;
   step.expr = std::move(predicate);
   steps_.push_back(std::move(step));
 }
-void FlatPipeline::AddProject(std::string name, FlatExprPtr value) {
+void FlatPipeline::AddProject(std::string name, ExprPtr value) {
   Step step;
   step.name = std::move(name);
   step.expr = std::move(value);
@@ -399,10 +257,10 @@ void FlatPipeline::AddProject(std::string name, FlatExprPtr value) {
 void FlatPipeline::AddAggregate(FlatAggSpec spec) {
   aggregates_.push_back(std::move(spec));
 }
-void FlatPipeline::AddHaving(FlatExprPtr predicate) {
+void FlatPipeline::AddHaving(ExprPtr predicate) {
   having_.push_back(std::move(predicate));
 }
-int FlatPipeline::AddHistogram(HistogramSpec spec, FlatExprPtr value) {
+int FlatPipeline::AddHistogram(HistogramSpec spec, ExprPtr value) {
   fills_.emplace_back(std::move(spec), std::move(value));
   return static_cast<int>(fills_.size()) - 1;
 }
@@ -422,86 +280,21 @@ std::vector<std::string> FlatPipeline::Projection() const {
   return projection;
 }
 
-namespace {
-
-/// Flattens nested kAnd nodes into their conjuncts.
-void SplitFlatConjuncts(const FlatExpr* e,
-                        std::vector<const FlatExpr*>* out) {
-  const FlatShape s = e->Shape();
-  if (s.kind == FlatShape::Kind::kBin && s.bin_op == BinOp::kAnd) {
-    SplitFlatConjuncts(s.lhs, out);
-    SplitFlatConjuncts(s.rhs, out);
-    return;
-  }
-  out->push_back(e);
-}
-
-/// `x op lit` as a closed conservative range on x (kNe carries nothing).
-bool FlatCmpToRange(BinOp op, double lit, double* lo, double* hi) {
-  const double inf = std::numeric_limits<double>::infinity();
-  switch (op) {
-    case BinOp::kGt:
-    case BinOp::kGe:
-      *lo = lit;
-      *hi = inf;
-      return true;
-    case BinOp::kLt:
-    case BinOp::kLe:
-      *lo = -inf;
-      *hi = lit;
-      return true;
-    case BinOp::kEq:
-      *lo = lit;
-      *hi = lit;
-      return true;
-    default:
-      return false;
-  }
-}
-
-BinOp MirrorFlatCmp(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-      return BinOp::kGt;
-    case BinOp::kLe:
-      return BinOp::kGe;
-    case BinOp::kGt:
-      return BinOp::kLt;
-    case BinOp::kGe:
-      return BinOp::kLe;
-    default:
-      return op;
-  }
-}
-
-/// Decomposes `var cmp literal` (either operand order), normalizing the
-/// comparison to have the variable on the left.
-const FlatExpr* MatchFlatCmpWithLit(const FlatShape& s, BinOp* op,
-                                    double* lit) {
-  if (s.kind != FlatShape::Kind::kBin) return nullptr;
-  const FlatShape lhs = s.lhs->Shape();
-  const FlatShape rhs = s.rhs->Shape();
-  if (rhs.kind == FlatShape::Kind::kLit) {
-    *op = s.bin_op;
-    *lit = rhs.lit;
-    return s.lhs;
-  }
-  if (lhs.kind == FlatShape::Kind::kLit) {
-    *op = MirrorFlatCmp(s.bin_op);
-    *lit = lhs.lit;
-    return s.rhs;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 ScanPredicateSet FlatPipeline::ScanPredicates() const {
   ScanPredicateSet preds;
-  std::vector<const FlatExpr*> conjuncts;
+  std::vector<const Expr*> conjuncts;
   for (const Step& step : steps_) {
-    if (step.is_filter) SplitFlatConjuncts(step.expr.get(), &conjuncts);
+    if (step.is_filter) SplitConjuncts(step.expr.get(), &conjuncts);
   }
+  // The flat column a node reads, or null when it is not a column ref.
+  auto column_of = [&](const Expr* e) -> const std::string* {
+    const ExprShape s = e->Shape();
+    if (s.kind != ExprShape::Kind::kScalarRef || s.scalar_slot < 0 ||
+        static_cast<size_t>(s.scalar_slot) >= columns_.size()) {
+      return nullptr;
+    }
+    return &columns_[static_cast<size_t>(s.scalar_slot)];
+  };
 
   // An event emits flat rows only when every unnest list is non-empty
   // (the Cartesian product is empty otherwise); strict idx-order filters
@@ -511,26 +304,21 @@ ScanPredicateSet FlatPipeline::ScanPredicates() const {
   const size_t n_unnests = unnests_.size();
   std::vector<std::vector<char>> before(n_unnests,
                                         std::vector<char>(n_unnests, 0));
-  auto alias_index = [&](const std::string& col) -> int {
+  auto alias_index = [&](const std::string* col) -> int {
+    if (col == nullptr) return -1;
     for (size_t u = 0; u < n_unnests; ++u) {
-      if (col == unnests_[u].alias + ".idx") return static_cast<int>(u);
+      if (*col == unnests_[u].alias + ".idx") return static_cast<int>(u);
     }
     return -1;
   };
-  for (const FlatExpr* conjunct : conjuncts) {
-    const FlatShape s = conjunct->Shape();
-    if (s.kind != FlatShape::Kind::kBin ||
+  for (const Expr* conjunct : conjuncts) {
+    const ExprShape s = conjunct->Shape();
+    if (s.kind != ExprShape::Kind::kBin ||
         (s.bin_op != BinOp::kLt && s.bin_op != BinOp::kGt)) {
       continue;
     }
-    const FlatShape lhs = s.lhs->Shape();
-    const FlatShape rhs = s.rhs->Shape();
-    if (lhs.kind != FlatShape::Kind::kCol ||
-        rhs.kind != FlatShape::Kind::kCol) {
-      continue;
-    }
-    int a = alias_index(lhs.col);
-    int b = alias_index(rhs.col);
+    int a = alias_index(column_of(s.operands[0]));
+    int b = alias_index(column_of(s.operands[1]));
     if (a < 0 || b < 0) continue;
     if (s.bin_op == BinOp::kGt) std::swap(a, b);
     if (unnests_[static_cast<size_t>(a)].column ==
@@ -566,18 +354,18 @@ ScanPredicateSet FlatPipeline::ScanPredicates() const {
   // WHERE conjuncts comparing a column with a literal: keep-scalars are
   // event-constant (a failing event contributes no row at all), unnest
   // members are element-existence conditions.
-  for (const FlatExpr* conjunct : conjuncts) {
+  for (const Expr* conjunct : conjuncts) {
     BinOp op;
     double lit;
-    const FlatExpr* var = MatchFlatCmpWithLit(conjunct->Shape(), &op, &lit);
+    const Expr* var = MatchCmpWithLit(conjunct->Shape(), &op, &lit);
     if (var == nullptr) continue;
-    const FlatShape v = var->Shape();
-    if (v.kind != FlatShape::Kind::kCol) continue;
+    const std::string* col = column_of(var);
+    if (col == nullptr) continue;
     double lo, hi;
-    if (!FlatCmpToRange(op, lit, &lo, &hi)) continue;
+    if (!CmpToRange(op, lit, &lo, &hi)) continue;
     bool matched = false;
     for (const std::string& scalar : keep_scalars_) {
-      if (v.col == scalar) {
+      if (*col == scalar) {
         preds.AddRange(scalar, lo, hi);
         matched = true;
         break;
@@ -586,7 +374,7 @@ ScanPredicateSet FlatPipeline::ScanPredicates() const {
     if (matched) continue;
     for (const UnnestList& u : unnests_) {
       for (const std::string& member : u.members) {
-        if (v.col == u.alias + "." + member) {
+        if (*col == u.alias + "." + member) {
           preds.AddItemRange(u.column + "." + member, lo, hi);
           matched = true;
           break;
@@ -600,21 +388,20 @@ ScanPredicateSet FlatPipeline::ScanPredicates() const {
   // surviving elements of that one list, so the event needs at least
   // ceil(n) elements (Listing 4b's n_jets >= 2).
   if (n_unnests == 1) {
-    for (const FlatExprPtr& predicate : having_) {
-      std::vector<const FlatExpr*> having_conjuncts;
-      SplitFlatConjuncts(predicate.get(), &having_conjuncts);
-      for (const FlatExpr* conjunct : having_conjuncts) {
+    for (const ExprPtr& predicate : having_) {
+      std::vector<const Expr*> having_conjuncts;
+      SplitConjuncts(predicate.get(), &having_conjuncts);
+      for (const Expr* conjunct : having_conjuncts) {
         BinOp op;
         double lit;
-        const FlatExpr* var =
-            MatchFlatCmpWithLit(conjunct->Shape(), &op, &lit);
+        const Expr* var = MatchCmpWithLit(conjunct->Shape(), &op, &lit);
         if (var == nullptr || (op != BinOp::kGe && op != BinOp::kGt)) {
           continue;
         }
-        const FlatShape v = var->Shape();
-        if (v.kind != FlatShape::Kind::kCol) continue;
+        const std::string* col = column_of(var);
+        if (col == nullptr) continue;
         for (const FlatAggSpec& spec : aggregates_) {
-          if (spec.kind == FlatAggKind::kCount && spec.output == v.col) {
+          if (spec.kind == FlatAggKind::kCount && spec.output == *col) {
             const double n =
                 op == BinOp::kGe ? std::ceil(lit) : std::floor(lit) + 1.0;
             if (n >= 1.0) {
@@ -631,6 +418,9 @@ ScanPredicateSet FlatPipeline::ScanPredicates() const {
 
 std::string FlatPipeline::Explain() const {
   std::string out = "FlatPipeline " + name_ + " (unnest + regroup plan)\n";
+  for (size_t slot = 0; slot < columns_.size(); ++slot) {
+    out += "  scalar" + std::to_string(slot) + " = " + columns_[slot] + "\n";
+  }
   for (const UnnestList& u : unnests_) {
     out += "  CROSS JOIN UNNEST(" + u.column + ") AS " + u.alias + " {";
     for (size_t m = 0; m < u.members.size(); ++m) {
@@ -643,8 +433,8 @@ std::string FlatPipeline::Explain() const {
     out += "  keep " + scalar + "\n";
   }
   for (const Step& step : steps_) {
-    out += step.is_filter ? "  WHERE <predicate>\n"
-                          : "  PROJECT " + step.name + "\n";
+    out += step.is_filter ? "  WHERE " : "  PROJECT " + step.name + " = ";
+    out += step.expr->ToString() + "\n";
   }
   if (!aggregates_.empty()) {
     out += "  GROUP BY event:";
@@ -653,11 +443,11 @@ std::string FlatPipeline::Explain() const {
     }
     out += "\n";
   }
-  for (size_t h = 0; h < having_.size(); ++h) {
-    out += "  HAVING <predicate>\n";
+  for (const ExprPtr& predicate : having_) {
+    out += "  HAVING " + predicate->ToString() + "\n";
   }
   for (const auto& [spec, expr] : fills_) {
-    out += "  fill '" + spec.name + "'\n";
+    out += "  fill '" + spec.name + "': " + expr->ToString() + "\n";
   }
   return out;
 }
@@ -693,64 +483,58 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
   }
   layout.columns.resize(layout.names.size());
 
-  // Resolve all flat-row expressions against the final layout. Resolve
-  // mutates the shared expression nodes, so it must finish before the
-  // parallel scan starts; Eval afterwards is const and thread-safe.
-  for (const Step& step : steps_) {
-    HEPQ_RETURN_NOT_OK(step.expr->Resolve(layout));
-  }
+  // Bind every column slot by name: to its chunk column for the steps
+  // (and ungrouped fills), to its aggregate-output column for HAVING and
+  // grouped fills. Each expression is checked against the layout it runs
+  // over before the scan starts.
   const bool grouped = !aggregates_.empty();
   EventAggregator prototype(aggregates_);
-  if (grouped) {
-    HEPQ_RETURN_NOT_OK(prototype.Resolve(layout));
-  }
-
-  // HAVING and fills run over the aggregate output when grouped.
   FlatBatch agg_layout;
   if (grouped) {
+    HEPQ_RETURN_NOT_OK(prototype.Resolve(layout));
     agg_layout.names.push_back("__event");
     for (const FlatAggSpec& spec : aggregates_) {
       agg_layout.names.push_back(spec.output);
     }
-    agg_layout.columns.resize(agg_layout.names.size());
   }
-  const FlatBatch& sink_layout = grouped ? agg_layout : layout;
-  for (const FlatExprPtr& predicate : having_) {
-    HEPQ_RETURN_NOT_OK(predicate->Resolve(sink_layout));
+  std::vector<int> chunk_cols(columns_.size());
+  std::vector<int> agg_cols(columns_.size());
+  for (size_t slot = 0; slot < columns_.size(); ++slot) {
+    chunk_cols[slot] = layout.ColumnIndex(columns_[slot]);
+    agg_cols[slot] = agg_layout.ColumnIndex(columns_[slot]);
+  }
+  const std::vector<int>& sink_cols = grouped ? agg_cols : chunk_cols;
+  for (const Step& step : steps_) {
+    HEPQ_RETURN_NOT_OK(CheckRowExpr(*step.expr, chunk_cols, columns_));
+  }
+  for (const ExprPtr& predicate : having_) {
+    HEPQ_RETURN_NOT_OK(CheckRowExpr(*predicate, sink_cols, columns_));
   }
   for (const auto& [spec, expr] : fills_) {
-    HEPQ_RETURN_NOT_OK(expr->Resolve(sink_layout));
+    HEPQ_RETURN_NOT_OK(CheckRowExpr(*expr, sink_cols, columns_));
   }
   if (!grouped && !having_.empty()) {
     return Status::Invalid("HAVING requires aggregates");
   }
 
-  // ---- compile the hot flat-row expressions to batch programs ----
-  // One program per pipeline step and (when ungrouped) per fill; HAVING
-  // and grouped fills run over the tiny per-event aggregate output where
-  // batching buys nothing, so they stay on the interpreter. Input slot
-  // ids are the chunk column indices, so a worker binds the program by
-  // pointing VColumns at its chunk's columns through its selection
-  // vector. Programs are immutable after this block and shared by all
-  // workers; each worker brings its own VexprScratch.
+  // ---- compile the hot flat-row expressions to batch kernels ----
+  // One kernel per pipeline step and (when ungrouped) per fill, through
+  // the same lowering as the BigQuery shape; HAVING and grouped fills run
+  // over the tiny per-event aggregate output where batching buys nothing,
+  // so they stay on the interpreter. Kernels are immutable and shared by
+  // all workers; each worker brings its own VexprScratch.
   const bool compiled = expr_exec_ != ExprExec::kInterpreted;
-  std::vector<VProgram> step_programs;
-  std::vector<VProgram> fill_programs;
+  std::vector<CompiledExprKernel> step_kernels;
+  std::vector<CompiledExprKernel> fill_kernels;
   if (compiled) {
-    step_programs.reserve(steps_.size());
     for (const Step& step : steps_) {
-      VProgramBuilder builder;
-      int reg;
-      HEPQ_ASSIGN_OR_RETURN(reg, step.expr->Lower(&builder));
-      step_programs.push_back(builder.Finish(reg));
+      HEPQ_ASSIGN_OR_RETURN(step_kernels.emplace_back(),
+                            CompiledExprKernel::Compile(step.expr));
     }
     if (!grouped) {
-      fill_programs.reserve(fills_.size());
       for (const auto& [spec, expr] : fills_) {
-        VProgramBuilder builder;
-        int reg;
-        HEPQ_ASSIGN_OR_RETURN(reg, expr->Lower(&builder));
-        fill_programs.push_back(builder.Finish(reg));
+        HEPQ_ASSIGN_OR_RETURN(fill_kernels.emplace_back(),
+                              CompiledExprKernel::Compile(expr));
       }
     }
   }
@@ -829,20 +613,27 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
           // Apply projections and filters in order. Filters compact all
           // columns materialized so far — the real cost of filtering flat
           // data.
+          EvalContext ctx;
           size_t live_columns = base_columns;
           for (const Step& step : steps_) {
             if (!step.is_filter) {
               auto& out = chunk.columns[live_columns];
               out.resize(chunk.num_rows);
+              const BatchBindings bound = BindFlat(chunk, chunk_cols);
+              ctx.bindings = &bound;
               for (size_t row = 0; row < chunk.num_rows; ++row) {
-                out[row] = step.expr->Eval(chunk, row);
+                ctx.row = static_cast<uint32_t>(row);
+                out[row] = step.expr->Eval(&ctx);
               }
               ++live_columns;
               continue;
             }
+            const BatchBindings bound = BindFlat(chunk, chunk_cols);
+            ctx.bindings = &bound;
             size_t kept = 0;
             for (size_t row = 0; row < chunk.num_rows; ++row) {
-              if (!step.expr->EvalBool(chunk, row)) continue;
+              ctx.row = static_cast<uint32_t>(row);
+              if (!step.expr->EvalBool(&ctx)) continue;
               if (kept != row) {
                 for (size_t c = 0; c < live_columns; ++c) {
                   chunk.columns[c][kept] = chunk.columns[c][row];
@@ -858,9 +649,12 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
           if (grouped) {
             p.aggregator.Consume(chunk, /*event_col=*/0);
           } else {
+            const BatchBindings bound = BindFlat(chunk, chunk_cols);
+            ctx.bindings = &bound;
             for (size_t f = 0; f < fills_.size(); ++f) {
               for (size_t row = 0; row < chunk.num_rows; ++row) {
-                p.histos[f].Fill(fills_[f].second->Eval(chunk, row));
+                ctx.row = static_cast<uint32_t>(row);
+                p.histos[f].Fill(fills_[f].second->Eval(&ctx));
               }
             }
           }
@@ -868,13 +662,14 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
           return Status::OK();
         };
 
-        // Compiled flush: run each step's program over the live lanes.
+        // Compiled flush: run each step's kernel over the live lanes.
         // Filters narrow the selection vector instead of compacting every
         // materialized column, so downstream steps, fills, and the GROUP
         // BY consume shrink without the interpreter path's O(columns)
-        // rewrite per filter. Lane order stays ascending, so group
-        // insertion order and fill order match the compacting path and
-        // results are bit-identical.
+        // rewrite per filter. While no filter has run the selection is
+        // null and the kernels read the columns contiguously. Lane order
+        // stays ascending, so group insertion order and fill order match
+        // the compacting path and results are bit-identical.
         auto flush_compiled = [&]() -> Status {
           if (chunk.num_rows == 0) return Status::OK();
           obs::ScopedSpan flush_span("flat_flush", obs::Stage::kExpr);
@@ -882,30 +677,23 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
           std::vector<uint32_t>* sel = vs->AcquireU32();
           std::vector<uint32_t>* gate = vs->AcquireU32();
           std::vector<double>* vals = vs->AcquireF64();
-          std::vector<VColumn>* cols = vs->AcquireCols();
-          cols->assign(chunk.columns.size(), VColumn{});
           const uint32_t* sel_ptr = nullptr;  // null: all rows live
           size_t live = chunk.num_rows;
-          auto bind_cols = [&]() {
-            for (size_t c = 0; c < chunk.columns.size(); ++c) {
-              (*cols)[c].type = TypeId::kFloat64;
-              (*cols)[c].data = chunk.columns[c].data();
-              (*cols)[c].index = sel_ptr;
-            }
-          };
           size_t live_columns = base_columns;
           for (size_t s = 0; s < steps_.size(); ++s) {
             const Step& step = steps_[s];
-            bind_cols();
             if (!step.is_filter) {
+              // Sized before binding so the bound pointers stay valid.
+              auto& out = chunk.columns[live_columns];
+              out.resize(chunk.num_rows);
+              const BatchBindings bound = BindFlat(chunk, chunk_cols);
               vals->resize(live);
-              step_programs[s].Run(cols->data(), static_cast<int>(live),
-                                   &vs->vm, vals->data());
+              HEPQ_RETURN_NOT_OK(step_kernels[s].Eval(
+                  bound, sel_ptr, static_cast<int64_t>(live), vs,
+                  vals->data(), nullptr));
               // Scatter through the selection so later gathers see the
               // value at its row position; dead rows stay unwritten (and
               // unread).
-              auto& out = chunk.columns[live_columns];
-              out.resize(chunk.num_rows);
               if (sel_ptr != nullptr) {
                 for (size_t i = 0; i < live; ++i) out[sel_ptr[i]] = (*vals)[i];
               } else {
@@ -914,25 +702,23 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
               ++live_columns;
               continue;
             }
-            // Fused gate: the passing lane positions come out of the VM
-            // directly (no 0/1 vector). When the selection is still dense
-            // (sel_ptr null, the common first-filter case) lane positions
-            // ARE row indices; otherwise remap through the old selection —
-            // the gate output is ascending, so the rewrite is in-place.
-            if (sel_ptr == nullptr) {
-              sel->resize(live);
-              const int kept = step_programs[s].RunGate(
-                  cols->data(), static_cast<int>(live), &vs->vm,
-                  /*negate=*/false, sel->data());
-              sel->resize(static_cast<size_t>(kept));
-            } else {
-              gate->resize(live);
-              const int kept = step_programs[s].RunGate(
-                  cols->data(), static_cast<int>(live), &vs->vm,
-                  /*negate=*/false, gate->data());
+            // Fused gate: the passing lane positions come out of the
+            // kernel directly (no 0/1 vector). When the selection is still
+            // dense (the common first-filter case) lane positions ARE row
+            // indices; otherwise remap through the old selection — the
+            // gate output is ascending, so the rewrite is in-place.
+            const BatchBindings bound = BindFlat(chunk, chunk_cols);
+            std::vector<uint32_t>* out = sel_ptr == nullptr ? sel : gate;
+            out->resize(live);
+            int kept;
+            HEPQ_ASSIGN_OR_RETURN(
+                kept, step_kernels[s].Gate(bound, sel_ptr,
+                                           static_cast<int64_t>(live), vs,
+                                           out->data(), nullptr));
+            if (sel_ptr != nullptr) {
               for (int i = 0; i < kept; ++i) (*sel)[i] = (*sel)[(*gate)[i]];
-              sel->resize(static_cast<size_t>(kept));
             }
+            sel->resize(static_cast<size_t>(kept));
             sel_ptr = sel->data();
             live = sel->size();
             if (live == 0) break;
@@ -941,11 +727,12 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
             if (grouped) {
               p.aggregator.Consume(chunk, /*event_col=*/0, sel_ptr, live);
             } else {
+              const BatchBindings bound = BindFlat(chunk, chunk_cols);
+              vals->resize(live);
               for (size_t f = 0; f < fills_.size(); ++f) {
-                vals->resize(live);
-                bind_cols();
-                fill_programs[f].Run(cols->data(), static_cast<int>(live),
-                                     &vs->vm, vals->data());
+                HEPQ_RETURN_NOT_OK(fill_kernels[f].Eval(
+                    bound, sel_ptr, static_cast<int64_t>(live), vs,
+                    vals->data(), nullptr));
                 for (size_t i = 0; i < live; ++i) {
                   p.histos[f].Fill((*vals)[i]);
                 }
@@ -1041,19 +828,23 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
         // Event keys are disjoint across row groups, so concatenating the
         // per-group aggregate outputs in group order reproduces the
         // sequential scan's group order exactly.
-        FlatBatch groups = p.aggregator.Finish();
+        const FlatBatch groups = p.aggregator.Finish();
         result.groups += static_cast<int64_t>(groups.num_rows);
+        const BatchBindings bound = BindFlat(groups, agg_cols);
+        EvalContext ctx;
+        ctx.bindings = &bound;
         for (size_t row = 0; row < groups.num_rows; ++row) {
+          ctx.row = static_cast<uint32_t>(row);
           bool pass = true;
-          for (const FlatExprPtr& predicate : having_) {
-            if (!predicate->EvalBool(groups, row)) {
+          for (const ExprPtr& predicate : having_) {
+            if (!predicate->EvalBool(&ctx)) {
               pass = false;
               break;
             }
           }
           if (!pass) continue;
           for (size_t f = 0; f < fills_.size(); ++f) {
-            (*file_histos)[f].Fill(fills_[f].second->Eval(groups, row));
+            (*file_histos)[f].Fill(fills_[f].second->Eval(&ctx));
           }
         }
         return Status::OK();

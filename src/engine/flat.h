@@ -11,12 +11,11 @@
 
 namespace hepq::engine {
 
-class VProgramBuilder;
-
 /// A fully materialized flat (NF1) batch: named all-double columns. This is
 /// what CROSS JOIN UNNEST produces in the Presto/Athena plan shape — every
 /// event-level attribute is duplicated per emitted particle row, which is
-/// exactly the cost the paper attributes to that shape.
+/// exactly the cost the paper attributes to that shape. Pipeline
+/// expressions read these columns as ScalarRef slots (FlatPipeline::Column).
 struct FlatBatch {
   std::vector<std::string> names;
   std::vector<std::vector<double>> columns;
@@ -26,64 +25,6 @@ struct FlatBatch {
   void Clear();
   uint64_t NumCells() const { return num_rows * columns.size(); }
 };
-
-class FlatExpr;
-
-/// Structural reflection of one flat-expression node, consumed by the
-/// scan-predicate extraction (anything it cannot use reports kOther).
-/// Child pointers stay owned by the reflected node.
-struct FlatShape {
-  enum class Kind { kLit, kCol, kBin, kOther };
-  Kind kind = Kind::kOther;
-  double lit = 0.0;
-  std::string col;  // kCol: the referenced column name
-  BinOp bin_op = BinOp::kAdd;
-  const FlatExpr* lhs = nullptr;  // kBin
-  const FlatExpr* rhs = nullptr;
-};
-
-/// Expression over one flat row.
-class FlatExpr {
- public:
-  virtual ~FlatExpr() = default;
-  virtual double Eval(const FlatBatch& batch, size_t row) const = 0;
-  bool EvalBool(const FlatBatch& batch, size_t row) const {
-    return Eval(batch, row) != 0.0;
-  }
-  /// Resolves column references against the batch layout; called once per
-  /// pipeline preparation.
-  virtual Status Resolve(const FlatBatch& batch) = 0;
-  /// Lowers the (resolved) expression into `builder`, returning the result
-  /// register. Column references load the flat column as an input slot, so
-  /// the compiled program evaluates a whole chunk per instruction.
-  virtual Result<int> Lower(VProgramBuilder* builder) const = 0;
-  /// Reflects the node for predicate extraction; defaults to opaque.
-  virtual FlatShape Shape() const { return FlatShape{}; }
-};
-
-using FlatExprPtr = std::shared_ptr<FlatExpr>;
-
-FlatExprPtr FlatLit(double value);
-/// Named column reference; resolved at pipeline preparation.
-FlatExprPtr FlatCol(std::string name);
-FlatExprPtr FlatBin(BinOp op, FlatExprPtr lhs, FlatExprPtr rhs);
-FlatExprPtr FlatCall(Fn fn, std::vector<FlatExprPtr> args);
-
-inline FlatExprPtr FlatLt(FlatExprPtr a, FlatExprPtr b) {
-  return FlatBin(BinOp::kLt, std::move(a), std::move(b));
-}
-inline FlatExprPtr FlatGt(FlatExprPtr a, FlatExprPtr b) {
-  return FlatBin(BinOp::kGt, std::move(a), std::move(b));
-}
-inline FlatExprPtr FlatGe(FlatExprPtr a, FlatExprPtr b) {
-  return FlatBin(BinOp::kGe, std::move(a), std::move(b));
-}
-inline FlatExprPtr FlatAnd(FlatExprPtr a, FlatExprPtr b) {
-  return FlatBin(BinOp::kAnd, std::move(a), std::move(b));
-}
-inline FlatExprPtr FlatAbs(FlatExprPtr a) {
-  return FlatCall(Fn::kAbs, {std::move(a)});
-}
 
 /// One UNNEST participant in the FROM clause. Each member `m` becomes the
 /// flat column "<alias>.<m>"; WITH ORDINALITY adds "<alias>.idx".
@@ -128,6 +69,11 @@ struct FlatQueryResult {
 /// filters the flat rows, and GROUP BY event undoes the flattening for
 /// per-event predicates (HAVING) before the final histogram aggregation.
 ///
+/// Its expressions are the same engine::Expr trees the BigQuery shape
+/// evaluates per event, restricted to Lit/ScalarRef/Bin/Call: a flat column
+/// is `ScalarRef(Column(name))`, and at Execute each slot binds to the
+/// chunk column (or aggregate-output column) of that name.
+///
 /// Pipeline steps run in registration order and see columns added by
 /// earlier projections. If any aggregate is registered, HAVING and
 /// histogram fills run over the per-event aggregate output; otherwise they
@@ -138,24 +84,30 @@ class FlatPipeline {
 
   const std::string& name() const { return name_; }
 
+  /// The ScalarRef slot of flat column `name` ("j.pt", "MET.pt", a
+  /// projection or an aggregate output), interned on first use. A name no
+  /// layout provides fails Execute with KeyError.
+  int Column(const std::string& name);
+
   /// FROM events CROSS JOIN UNNEST(...) [CROSS JOIN UNNEST(...) ...].
   /// With no unnest list, rows are the events themselves (Q1).
   void AddUnnest(UnnestList list);
   /// Event-level scalar carried through the flattening ("MET.pt").
   void AddKeepScalar(const std::string& leaf_path);
   /// WHERE predicate over flat rows (and previously projected columns).
-  void AddFilter(FlatExprPtr predicate);
+  void AddFilter(ExprPtr predicate);
   /// Computed column over flat rows.
-  void AddProject(std::string name, FlatExprPtr value);
+  void AddProject(std::string name, ExprPtr value);
   /// GROUP BY event aggregate.
   void AddAggregate(FlatAggSpec spec);
   /// HAVING predicate over the aggregate output.
-  void AddHaving(FlatExprPtr predicate);
+  void AddHaving(ExprPtr predicate);
   /// Final histogram: filled per aggregate-output row if aggregates exist,
   /// else per surviving flat row.
-  int AddHistogram(HistogramSpec spec, FlatExprPtr value);
+  int AddHistogram(HistogramSpec spec, ExprPtr value);
 
-  /// Selects between the compiled batch-kernel path (the default) and the
+  /// Selects between the compiled batch-kernel path (the default, through
+  /// the CompiledExprKernel lowering the BigQuery shape also uses) and the
   /// per-row tree-walking interpreter. In compiled mode filters narrow a
   /// selection vector instead of physically compacting every materialized
   /// column; results are bit-identical either way, and the interpreter is
@@ -180,24 +132,24 @@ class FlatPipeline {
   /// output row must satisfy are extracted — see fileio/predicate.h.
   ScanPredicateSet ScanPredicates() const;
 
-  /// EXPLAIN-style plan rendering: unnests, steps, aggregates, having,
-  /// fills (expressions are shown by name only; FlatExpr has no
-  /// renderer).
+  /// EXPLAIN-style plan rendering: column slots, unnests, steps,
+  /// aggregates, having, fills.
   std::string Explain() const;
 
  private:
   struct Step {
     bool is_filter = false;
     std::string name;  // projection output column
-    FlatExprPtr expr;
+    ExprPtr expr;
   };
   std::string name_;
+  std::vector<std::string> columns_;  // ScalarRef slot -> column name
   std::vector<UnnestList> unnests_;
   std::vector<std::string> keep_scalars_;
   std::vector<Step> steps_;
   std::vector<FlatAggSpec> aggregates_;
-  std::vector<FlatExprPtr> having_;
-  std::vector<std::pair<HistogramSpec, FlatExprPtr>> fills_;
+  std::vector<ExprPtr> having_;
+  std::vector<std::pair<HistogramSpec, ExprPtr>> fills_;
   ExprExec expr_exec_ = ExprExec::kSimd;
 };
 

@@ -14,9 +14,9 @@ namespace hepq::engine {
 
 // Vectorized expression compiler.
 //
-// An Expr (or FlatExpr) tree is lowered once into a flat postfix program:
-// every leaf and every operator becomes one instruction over a *batch of
-// lanes*. The lowering performs constant folding and common-subexpression
+// An Expr tree — per event in the BigQuery plan shape, per flat row in
+// the Presto shape — is lowered once into a flat postfix program: every
+// leaf and every operator becomes one instruction over a *batch of lanes*. The lowering performs constant folding and common-subexpression
 // elimination, and resolves member accessors to typed input slots, so the
 // per-lane hot loop contains no virtual dispatch, no shared_ptr chasing,
 // and no per-access type switch — the `MemberAccessor::Get` switch runs
@@ -290,26 +290,32 @@ class CompiledEventQuery {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Compiles a single expression for batch evaluation over the events of a
-/// bound batch — the direct cross-check surface used by the randomized
-/// compiler tests and the expression micro-benchmarks.
+/// Compiles a single expression for batch evaluation over the rows of a
+/// bound batch — the Presto plan shape's step and fill kernels, and the
+/// direct cross-check surface used by the randomized compiler tests and
+/// the expression micro-benchmarks.
 class CompiledExprKernel {
  public:
   static Result<CompiledExprKernel> Compile(ExprPtr expr);
 
-  /// Evaluates the expression once per row in [0, num_rows), exactly like
-  /// calling Expr::Eval per row with a fresh EvalContext (all iterators
-  /// initially bound to element 0). `ops` accumulates element and
-  /// combination visits as the interpreter would count them.
-  Status Eval(const BatchBindings& bindings, int64_t num_rows,
+  /// Evaluates the expression once per lane: lane i is row rows[i] of the
+  /// bound batch, or row i when `rows` is null (n lanes either way). Each
+  /// lane computes exactly what Expr::Eval does for that row with a fresh
+  /// EvalContext (all iterators initially bound to element 0); `ops`
+  /// accumulates element and combination visits as the interpreter would
+  /// count them. An expression that reads only scalar slots binds them
+  /// through `rows` directly, so a dense call reads its columns
+  /// contiguously. Buffers come from a scope on `scratch`, so a caller can
+  /// hold its own scratch buffers across the call.
+  Status Eval(const BatchBindings& bindings, const uint32_t* rows, int64_t n,
               VexprScratch* scratch, double* out, uint64_t* ops) const;
 
-  /// Predicate form of Eval: writes the passing row indices (result != 0)
-  /// to sel_out[0..return) in ascending order and returns their count —
+  /// Predicate form of Eval: writes the passing lane positions (result !=
+  /// 0) to sel_out[0..return) in ascending order and returns their count —
   /// the fused gate+fill path the engines use for filter stages. sel_out
-  /// must hold num_rows entries.
-  Result<int> Gate(const BatchBindings& bindings, int64_t num_rows,
-                   VexprScratch* scratch, uint32_t* sel_out,
+  /// must hold n entries.
+  Result<int> Gate(const BatchBindings& bindings, const uint32_t* rows,
+                   int64_t n, VexprScratch* scratch, uint32_t* sel_out,
                    uint64_t* ops) const;
 
   /// The compiled batch program — read access for the fused-plan stats

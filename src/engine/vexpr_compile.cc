@@ -867,16 +867,6 @@ CompiledScalar LowerScalar(const Expr* e) {
   return lowerer.Lower(e);
 }
 
-void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  const ExprShape s = e->Shape();
-  if (s.kind == ExprShape::Kind::kBin && s.bin_op == BinOp::kAnd) {
-    SplitConjuncts(s.operands[0], out);
-    SplitConjuncts(s.operands[1], out);
-    return;
-  }
-  out->push_back(e);
-}
-
 Conjunct LowerConjunct(const Expr* e) {
   Conjunct c;
   // Unwrap Not(...) wrappers into the negate flag so the atom inside can
@@ -1402,7 +1392,33 @@ namespace {
 struct KernelImpl {
   ExprPtr root;
   CompiledScalar scalar;
+  bool scalar_slots_only = false;  // every input slot is a kScalar leaf
 };
+
+/// The lane frame of a kernel call. Scalar-only kernels read their slots
+/// through `rows` itself (contiguously when null); any other slot needs
+/// explicit event lanes and iterators bound to element 0, acquired from
+/// the caller's scratch scope.
+Frame KernelFrame(const KernelImpl& impl, const BatchBindings& bindings,
+                  const uint32_t* rows, int64_t n, VexprScratch* s) {
+  Frame f;
+  f.bindings = &bindings;
+  f.n = static_cast<int>(n);
+  f.event = rows;
+  if (impl.scalar_slots_only) return f;
+  if (rows == nullptr) {
+    std::vector<uint32_t>* ev = s->AcquireU32();
+    ev->resize(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      (*ev)[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
+    }
+    f.event = ev->data();
+  }
+  std::vector<uint32_t>* zero = s->AcquireU32();
+  zero->assign(static_cast<size_t>(n), 0);
+  for (int k = 0; k < kMaxIterators; ++k) f.iter[k] = zero->data();
+  return f;
+}
 
 }  // namespace
 
@@ -1419,29 +1435,21 @@ Result<CompiledExprKernel> CompiledExprKernel::Compile(ExprPtr expr) {
   } else {
     impl->scalar = LowerScalar(impl->root.get());
   }
+  impl->scalar_slots_only = std::all_of(
+      impl->scalar.slots.begin(), impl->scalar.slots.end(),
+      [](const SlotDesc& d) { return d.kind == SlotDesc::Kind::kScalar; });
   CompiledExprKernel kernel;
   kernel.impl_ = std::shared_ptr<const void>(impl, impl.get());
   return kernel;
 }
 
 Status CompiledExprKernel::Eval(const BatchBindings& bindings,
-                                int64_t num_rows, VexprScratch* scratch,
-                                double* out, uint64_t* ops) const {
+                                const uint32_t* rows, int64_t n,
+                                VexprScratch* scratch, double* out,
+                                uint64_t* ops) const {
   const KernelImpl& impl = *static_cast<const KernelImpl*>(impl_.get());
-  scratch->ResetAll();
   VexprScratch::Scope scope(scratch);
-  std::vector<uint32_t>* ev = scratch->AcquireU32();
-  std::vector<uint32_t>* zero = scratch->AcquireU32();
-  ev->resize(static_cast<size_t>(num_rows));
-  zero->assign(static_cast<size_t>(num_rows), 0);
-  for (int64_t i = 0; i < num_rows; ++i) {
-    (*ev)[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
-  }
-  Frame f;
-  f.bindings = &bindings;
-  f.n = static_cast<int>(num_rows);
-  f.event = ev->data();
-  for (int k = 0; k < kMaxIterators; ++k) f.iter[k] = zero->data();
+  const Frame f = KernelFrame(impl, bindings, rows, n, scratch);
   uint64_t local_ops = 0;
   impl.scalar.Eval(f, scratch, out, &local_ops);
   if (ops != nullptr) *ops += local_ops;
@@ -1449,23 +1457,12 @@ Status CompiledExprKernel::Eval(const BatchBindings& bindings,
 }
 
 Result<int> CompiledExprKernel::Gate(const BatchBindings& bindings,
-                                     int64_t num_rows, VexprScratch* scratch,
-                                     uint32_t* sel_out, uint64_t* ops) const {
+                                     const uint32_t* rows, int64_t n,
+                                     VexprScratch* scratch, uint32_t* sel_out,
+                                     uint64_t* ops) const {
   const KernelImpl& impl = *static_cast<const KernelImpl*>(impl_.get());
-  scratch->ResetAll();
   VexprScratch::Scope scope(scratch);
-  std::vector<uint32_t>* ev = scratch->AcquireU32();
-  std::vector<uint32_t>* zero = scratch->AcquireU32();
-  ev->resize(static_cast<size_t>(num_rows));
-  zero->assign(static_cast<size_t>(num_rows), 0);
-  for (int64_t i = 0; i < num_rows; ++i) {
-    (*ev)[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
-  }
-  Frame f;
-  f.bindings = &bindings;
-  f.n = static_cast<int>(num_rows);
-  f.event = ev->data();
-  for (int k = 0; k < kMaxIterators; ++k) f.iter[k] = zero->data();
+  const Frame f = KernelFrame(impl, bindings, rows, n, scratch);
   uint64_t local_ops = 0;
   const int kept =
       impl.scalar.Gate(f, scratch, /*negate=*/false, sel_out, &local_ops);

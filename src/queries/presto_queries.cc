@@ -6,33 +6,35 @@ namespace hepq::queries {
 
 namespace {
 
-using engine::BinOp;
+using engine::Abs;
+using engine::And;
+using engine::Call;
+using engine::ExprPtr;
 using engine::FlatAggKind;
 using engine::FlatAggSpec;
-using engine::FlatAnd;
-using engine::FlatBin;
-using engine::FlatCall;
-using engine::FlatCol;
-using engine::FlatExprPtr;
-using engine::FlatGe;
-using engine::FlatGt;
-using engine::FlatLit;
-using engine::FlatLt;
 using engine::FlatPipeline;
 using engine::Fn;
+using engine::Ge;
+using engine::Gt;
+using engine::Lit;
+using engine::Lt;
+using engine::Ne;
+using engine::Sub;
 using engine::UnnestList;
 
-std::vector<FlatExprPtr> FlatKinematics(const std::string& alias) {
-  return {FlatCol(alias + ".pt"), FlatCol(alias + ".eta"),
-          FlatCol(alias + ".phi"), FlatCol(alias + ".mass")};
+/// `ScalarRef` of a flat column, interned in `pipeline`.
+ExprPtr Col(FlatPipeline* pipeline, const std::string& name) {
+  return engine::ScalarRef(pipeline->Column(name));
 }
 
-std::vector<FlatExprPtr> ConcatFlat(std::vector<FlatExprPtr> a,
-                                    std::vector<FlatExprPtr> b,
-                                    std::vector<FlatExprPtr> c = {}) {
-  std::vector<FlatExprPtr> out = std::move(a);
-  out.insert(out.end(), b.begin(), b.end());
-  out.insert(out.end(), c.begin(), c.end());
+std::vector<ExprPtr> Kinematics(FlatPipeline* pipeline,
+                                const std::vector<std::string>& aliases) {
+  std::vector<ExprPtr> out;
+  for (const std::string& alias : aliases) {
+    for (const char* member : {".pt", ".eta", ".phi", ".mass"}) {
+      out.push_back(Col(pipeline, alias + member));
+    }
+  }
   return out;
 }
 
@@ -41,37 +43,37 @@ std::vector<FlatExprPtr> ConcatFlat(std::vector<FlatExprPtr> a,
 Result<engine::FlatPipeline> BuildAdlFlatPipeline(int q) {
   const std::vector<HistogramSpec> specs = AdlHistogramSpecs(q);
   FlatPipeline pipeline("adl_q" + std::to_string(q) + "_flat");
+  FlatPipeline* p = &pipeline;
   switch (q) {
     case 1: {
       // SELECT HistogramBin(MET.pt) ... GROUP BY bin — no unnesting.
       pipeline.AddKeepScalar("MET.pt");
-      pipeline.AddHistogram(specs[0], FlatCol("MET.pt"));
+      pipeline.AddHistogram(specs[0], Col(p, "MET.pt"));
       return pipeline;
     }
     case 2: {
       // SELECT j.pt FROM events CROSS JOIN UNNEST(Jet) AS j.
       pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
-      pipeline.AddHistogram(specs[0], FlatCol("j.pt"));
+      pipeline.AddHistogram(specs[0], Col(p, "j.pt"));
       return pipeline;
     }
     case 3: {
       pipeline.AddUnnest(UnnestList{"Jet", {"pt", "eta"}, "j"});
-      pipeline.AddFilter(FlatLt(FlatCall(Fn::kAbs, {FlatCol("j.eta")}),
-                                FlatLit(1.0)));
-      pipeline.AddHistogram(specs[0], FlatCol("j.pt"));
+      pipeline.AddFilter(Lt(Abs(Col(p, "j.eta")), Lit(1.0)));
+      pipeline.AddHistogram(specs[0], Col(p, "j.pt"));
       return pipeline;
     }
     case 4: {
       // Listing 4b: unnest, filter, GROUP BY event HAVING COUNT(*) >= 2.
       pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
       pipeline.AddKeepScalar("MET.pt");
-      pipeline.AddFilter(FlatGt(FlatCol("j.pt"), FlatLit(40.0)));
+      pipeline.AddFilter(Gt(Col(p, "j.pt"), Lit(40.0)));
       pipeline.AddAggregate(
           FlatAggSpec{FlatAggKind::kCount, "", "", "n_jets"});
       pipeline.AddAggregate(
           FlatAggSpec{FlatAggKind::kFirst, "MET.pt", "", "met"});
-      pipeline.AddHaving(FlatGe(FlatCol("n_jets"), FlatLit(2.0)));
-      pipeline.AddHistogram(specs[0], FlatCol("met"));
+      pipeline.AddHaving(Ge(Col(p, "n_jets"), Lit(2.0)));
+      pipeline.AddHistogram(specs[0], Col(p, "met"));
       return pipeline;
     }
     case 5: {
@@ -81,22 +83,18 @@ Result<engine::FlatPipeline> BuildAdlFlatPipeline(int q) {
       pipeline.AddUnnest(
           UnnestList{"Muon", {"pt", "eta", "phi", "mass", "charge"}, "m2"});
       pipeline.AddKeepScalar("MET.pt");
-      pipeline.AddFilter(FlatLt(FlatCol("m1.idx"), FlatCol("m2.idx")));
-      pipeline.AddFilter(FlatBin(BinOp::kNe, FlatCol("m1.charge"),
-                                 FlatCol("m2.charge")));
+      pipeline.AddFilter(Lt(Col(p, "m1.idx"), Col(p, "m2.idx")));
+      pipeline.AddFilter(Ne(Col(p, "m1.charge"), Col(p, "m2.charge")));
       pipeline.AddProject("pair_mass",
-                          FlatCall(Fn::kInvMass2,
-                                   ConcatFlat(FlatKinematics("m1"),
-                                              FlatKinematics("m2"))));
-      pipeline.AddFilter(FlatAnd(FlatGt(FlatCol("pair_mass"), FlatLit(60.0)),
-                                 FlatLt(FlatCol("pair_mass"),
-                                        FlatLit(120.0))));
+                          Call(Fn::kInvMass2, Kinematics(p, {"m1", "m2"})));
+      pipeline.AddFilter(And(Gt(Col(p, "pair_mass"), Lit(60.0)),
+                             Lt(Col(p, "pair_mass"), Lit(120.0))));
       pipeline.AddAggregate(
           FlatAggSpec{FlatAggKind::kCount, "", "", "n_pairs"});
       pipeline.AddAggregate(
           FlatAggSpec{FlatAggKind::kFirst, "MET.pt", "", "met"});
-      pipeline.AddHaving(FlatGe(FlatCol("n_pairs"), FlatLit(1.0)));
-      pipeline.AddHistogram(specs[0], FlatCol("met"));
+      pipeline.AddHaving(Ge(Col(p, "n_pairs"), Lit(1.0)));
+      pipeline.AddHistogram(specs[0], Col(p, "met"));
       return pipeline;
     }
     case 6: {
@@ -108,30 +106,24 @@ Result<engine::FlatPipeline> BuildAdlFlatPipeline(int q) {
       pipeline.AddUnnest(UnnestList{"Jet", members, "j1"});
       pipeline.AddUnnest(UnnestList{"Jet", members, "j2"});
       pipeline.AddUnnest(UnnestList{"Jet", members, "j3"});
-      pipeline.AddFilter(
-          FlatAnd(FlatLt(FlatCol("j1.idx"), FlatCol("j2.idx")),
-                  FlatLt(FlatCol("j2.idx"), FlatCol("j3.idx"))));
-      const auto trijet = ConcatFlat(FlatKinematics("j1"),
-                                     FlatKinematics("j2"),
-                                     FlatKinematics("j3"));
+      pipeline.AddFilter(And(Lt(Col(p, "j1.idx"), Col(p, "j2.idx")),
+                             Lt(Col(p, "j2.idx"), Col(p, "j3.idx"))));
+      const std::vector<ExprPtr> trijet = Kinematics(p, {"j1", "j2", "j3"});
       pipeline.AddProject(
           "mass_diff",
-          FlatCall(Fn::kAbs,
-                   {FlatBin(BinOp::kSub, FlatCall(Fn::kInvMass3, trijet),
-                            FlatLit(172.5))}));
-      pipeline.AddProject("trijet_pt", FlatCall(Fn::kSumPt3, trijet));
+          Abs(Sub(Call(Fn::kInvMass3, trijet), Lit(172.5))));
+      pipeline.AddProject("trijet_pt", Call(Fn::kSumPt3, trijet));
       pipeline.AddProject(
           "max_btag",
-          FlatCall(Fn::kMax2,
-                   {FlatCall(Fn::kMax2,
-                             {FlatCol("j1.btag"), FlatCol("j2.btag")}),
-                    FlatCol("j3.btag")}));
+          Call(Fn::kMax2,
+               {Call(Fn::kMax2, {Col(p, "j1.btag"), Col(p, "j2.btag")}),
+                Col(p, "j3.btag")}));
       pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kMinBy, "trijet_pt",
                                         "mass_diff", "best_pt"});
       pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kMinBy, "max_btag",
                                         "mass_diff", "best_btag"});
-      pipeline.AddHistogram(specs[0], FlatCol("best_pt"));
-      pipeline.AddHistogram(specs[1], FlatCol("best_btag"));
+      pipeline.AddHistogram(specs[0], Col(p, "best_pt"));
+      pipeline.AddHistogram(specs[1], Col(p, "best_btag"));
       return pipeline;
     }
     default:

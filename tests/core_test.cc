@@ -483,6 +483,48 @@ TEST(JsonWriterTest, EmptyAndNestedContainers) {
   EXPECT_EQ(nested[2].string_value(), "s");
 }
 
+// ---------------------------------------------------------------------------
+// Strict parser (RFC 8259): every non-JSON number or string is rejected
+// ---------------------------------------------------------------------------
+
+void ExpectRejected(const std::string& text) {
+  const auto parsed = json::ParseJson(text);
+  ASSERT_FALSE(parsed.ok()) << "accepted: " << text;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << text;
+}
+
+TEST(JsonParserTest, RejectsNegativeInfinity) { ExpectRejected("[-inf]"); }
+TEST(JsonParserTest, RejectsNegativeNan) { ExpectRejected("[-nan]"); }
+TEST(JsonParserTest, RejectsBareNan) { ExpectRejected("[nan]"); }
+TEST(JsonParserTest, RejectsHexNumber) { ExpectRejected("[0x1A]"); }
+TEST(JsonParserTest, RejectsTrailingDot) { ExpectRejected("[1.]"); }
+TEST(JsonParserTest, RejectsLeadingDot) { ExpectRejected("[.5]"); }
+TEST(JsonParserTest, RejectsLeadingZero) { ExpectRejected("[01]"); }
+TEST(JsonParserTest, RejectsPlusSign) { ExpectRejected("[+1]"); }
+TEST(JsonParserTest, RejectsEmptyExponent) { ExpectRejected("[1e]"); }
+
+TEST(JsonParserTest, RejectsRawControlByteInString) {
+  ExpectRejected(std::string("[\"a\tb\"]"));
+  ExpectRejected(std::string("[\"a\nb\"]"));
+  ExpectRejected(std::string("{\"k\x01\":1}"));
+}
+
+TEST(JsonParserTest, AcceptsEveryWriterNumberForm) {
+  // %.17g and shortest-digits output, including exponent signs, negative
+  // zero, the smallest subnormal and the largest finite double.
+  const json::JsonValue doc = ParseOrDie(
+      "[1e+20,-0,5e-324,1.7976931348623157e+308,0.5,-12.25E-2,0,1E5]");
+  const std::vector<double> expect = {
+      1e20, -0.0, 5e-324, std::numeric_limits<double>::max(),
+      0.5,  -0.1225, 0.0,  1e5};
+  ASSERT_EQ(doc.array_items().size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(doc.array_items()[i].number_value()),
+              std::bit_cast<uint64_t>(expect[i]))
+        << i;
+  }
+}
+
 // Every emitter in the repo writes through json::Writer; each document
 // must parse, including the strings that need escaping.
 

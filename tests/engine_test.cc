@@ -329,21 +329,24 @@ TEST(ExplainTest, FlatPipelineExplainListsPlan) {
   FlatPipeline pipeline("demo");
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
   pipeline.AddKeepScalar("MET.pt");
-  pipeline.AddFilter(FlatGt(FlatCol("j.pt"), FlatLit(40.0)));
+  pipeline.AddFilter(Gt(ScalarRef(pipeline.Column("j.pt")), Lit(40.0)));
   pipeline.AddAggregate(
       engine::FlatAggSpec{FlatAggKind::kCount, "", "", "n"});
-  pipeline.AddHaving(FlatGe(FlatCol("n"), FlatLit(2.0)));
-  pipeline.AddHistogram({"met", "", 10, 0, 100}, FlatCol("MET.pt"));
+  pipeline.AddHaving(Ge(ScalarRef(pipeline.Column("n")), Lit(2.0)));
+  pipeline.AddHistogram({"met", "", 10, 0, 100},
+                        ScalarRef(pipeline.Column("MET.pt")));
   const std::string plan = pipeline.Explain();
+  EXPECT_NE(plan.find("scalar0 = j.pt"), std::string::npos);
   EXPECT_NE(plan.find("CROSS JOIN UNNEST(Jet) AS j"), std::string::npos);
   EXPECT_NE(plan.find("keep MET.pt"), std::string::npos);
-  EXPECT_NE(plan.find("WHERE"), std::string::npos);
+  EXPECT_NE(plan.find("WHERE (scalar0 > 40)"), std::string::npos);
   EXPECT_NE(plan.find("GROUP BY event: n"), std::string::npos);
-  EXPECT_NE(plan.find("HAVING"), std::string::npos);
+  EXPECT_NE(plan.find("HAVING (scalar1 >= 2)"), std::string::npos);
+  EXPECT_NE(plan.find("fill 'met': scalar2"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// FlatBatch / FlatExpr
+// FlatBatch / flat bindings
 // ---------------------------------------------------------------------------
 
 TEST(FlatBatchTest, ColumnLookupAndClear) {
@@ -359,17 +362,19 @@ TEST(FlatBatchTest, ColumnLookupAndClear) {
   EXPECT_TRUE(batch.columns[0].empty());
 }
 
-TEST(FlatExprTest, ResolveAndEval) {
-  FlatBatch batch;
-  batch.names = {"x", "y"};
-  batch.columns = {{1, 2, 3}, {10, 20, 30}};
-  batch.num_rows = 3;
-  auto expr = FlatBin(BinOp::kAdd, FlatCol("x"),
-                      FlatBin(BinOp::kMul, FlatCol("y"), FlatLit(2.0)));
-  ASSERT_TRUE(expr->Resolve(batch).ok());
-  EXPECT_DOUBLE_EQ(expr->Eval(batch, 1), 42.0);
-  auto bad = FlatCol("zz");
-  EXPECT_FALSE(bad->Resolve(batch).ok());
+TEST(FlatRowBindingsTest, ScalarRefsReadBoundDoubleColumns) {
+  // Flat rows bind as kFloat64 scalar slots: the one expression tree of
+  // both plan shapes evaluates over them unchanged.
+  const std::vector<double> x = {1, 2, 3};
+  const std::vector<double> y = {10, 20, 30};
+  const BatchBindings bound =
+      BatchBindings::Float64Scalars({x.data(), nullptr, y.data()});
+  auto expr = Add(ScalarRef(0), Mul(ScalarRef(2), Lit(2.0)));
+  EvalContext ctx;
+  ctx.bindings = &bound;
+  ctx.row = 1;
+  EXPECT_DOUBLE_EQ(expr->Eval(&ctx), 42.0);
+  EXPECT_EQ(bound.scalar(1).data, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -527,11 +532,12 @@ TEST(FlatPipelineTest, ThreadCountNeverChangesResults) {
   FlatPipeline pipeline("det_flat");
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
   pipeline.AddKeepScalar("MET.pt");
-  pipeline.AddFilter(FlatGt(FlatCol("j.pt"), FlatLit(40.0)));
+  pipeline.AddFilter(Gt(ScalarRef(pipeline.Column("j.pt")), Lit(40.0)));
   pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kCount, "", "", "n_jets"});
   pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kFirst, "MET.pt", "", "met"});
-  pipeline.AddHaving(FlatGe(FlatCol("n_jets"), FlatLit(2.0)));
-  pipeline.AddHistogram({"met", "", 100, 0, 200}, FlatCol("met"));
+  pipeline.AddHaving(Ge(ScalarRef(pipeline.Column("n_jets")), Lit(2.0)));
+  pipeline.AddHistogram({"met", "", 100, 0, 200},
+                        ScalarRef(pipeline.Column("met")));
   auto baseline = pipeline.Execute(DeterminismDataset(), ReaderOptions{}, 1);
   ASSERT_TRUE(baseline.ok());
   for (int threads : {2, 4}) {

@@ -7,6 +7,11 @@
 namespace hepq::engine {
 namespace {
 
+/// `ScalarRef` of flat column `name`, interned in `pipeline`.
+ExprPtr Col(FlatPipeline& pipeline, const std::string& name) {
+  return ScalarRef(pipeline.Column(name));
+}
+
 /// Writes a three-event file:
 ///   event 0: MET 10; jets (pt): 50, 10, 45
 ///   event 1: MET 20; jets: 20
@@ -40,7 +45,7 @@ const std::string& TinyFile() {
 TEST(FlatPipelineTest, NoUnnestFillsPerEvent) {
   FlatPipeline pipeline("q1");
   pipeline.AddKeepScalar("MET.pt");
-  pipeline.AddHistogram({"met", "", 10, 0, 100}, FlatCol("MET.pt"));
+  pipeline.AddHistogram({"met", "", 10, 0, 100}, Col(pipeline, "MET.pt"));
   auto result = pipeline.Execute(TinyFile(), ReaderOptions{}, 1).ValueOrDie();
   EXPECT_EQ(result.events_processed, 3);
   EXPECT_EQ(result.rows_materialized, 3u);
@@ -51,7 +56,7 @@ TEST(FlatPipelineTest, NoUnnestFillsPerEvent) {
 TEST(FlatPipelineTest, UnnestDropsParticleFreeEvents) {
   FlatPipeline pipeline("unnest");
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
-  pipeline.AddHistogram({"pt", "", 10, 0, 100}, FlatCol("j.pt"));
+  pipeline.AddHistogram({"pt", "", 10, 0, 100}, Col(pipeline, "j.pt"));
   auto result = pipeline.Execute(TinyFile(), ReaderOptions{}, 1).ValueOrDie();
   // Inner-join semantics of CROSS JOIN UNNEST: event 2 vanishes.
   EXPECT_EQ(result.rows_materialized, 4u);
@@ -61,11 +66,10 @@ TEST(FlatPipelineTest, UnnestDropsParticleFreeEvents) {
 TEST(FlatPipelineTest, FilterThenProjectInRegistrationOrder) {
   FlatPipeline pipeline("chain");
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
-  pipeline.AddFilter(FlatGt(FlatCol("j.pt"), FlatLit(15.0)));
-  pipeline.AddProject("double_pt",
-                      FlatBin(BinOp::kMul, FlatCol("j.pt"), FlatLit(2.0)));
-  pipeline.AddFilter(FlatLt(FlatCol("double_pt"), FlatLit(95.0)));
-  pipeline.AddHistogram({"pt", "", 10, 0, 200}, FlatCol("double_pt"));
+  pipeline.AddFilter(Gt(Col(pipeline, "j.pt"), Lit(15.0)));
+  pipeline.AddProject("double_pt", Mul(Col(pipeline, "j.pt"), Lit(2.0)));
+  pipeline.AddFilter(Lt(Col(pipeline, "double_pt"), Lit(95.0)));
+  pipeline.AddHistogram({"pt", "", 10, 0, 200}, Col(pipeline, "double_pt"));
   auto result = pipeline.Execute(TinyFile(), ReaderOptions{}, 1).ValueOrDie();
   // 50, 45, 20 pass the first filter; doubled: 100, 90, 40; < 95: 90, 40.
   EXPECT_EQ(result.histograms[0].num_entries(), 2u);
@@ -85,10 +89,10 @@ TEST(FlatPipelineTest, GroupByEventAggregates) {
   pipeline.AddAggregate(
       FlatAggSpec{FlatAggKind::kMinBy, "j.pt", "j.idx", "first_jet_pt"});
   // One histogram per aggregate output to observe each value.
-  pipeline.AddHistogram({"n", "", 10, 0, 10}, FlatCol("n"));
-  pipeline.AddHistogram({"sum", "", 10, 0, 200}, FlatCol("sum"));
-  pipeline.AddHistogram({"met", "", 10, 0, 100}, FlatCol("met"));
-  pipeline.AddHistogram({"fj", "", 10, 0, 100}, FlatCol("first_jet_pt"));
+  pipeline.AddHistogram({"n", "", 10, 0, 10}, Col(pipeline, "n"));
+  pipeline.AddHistogram({"sum", "", 10, 0, 200}, Col(pipeline, "sum"));
+  pipeline.AddHistogram({"met", "", 10, 0, 100}, Col(pipeline, "met"));
+  pipeline.AddHistogram({"fj", "", 10, 0, 100}, Col(pipeline, "first_jet_pt"));
   auto result = pipeline.Execute(TinyFile(), ReaderOptions{}, 1).ValueOrDie();
   EXPECT_EQ(result.groups, 2);  // events 0 and 1
   // n: {3, 1} -> mean 2; sum: {105, 20}; met: {10, 20};
@@ -106,8 +110,8 @@ TEST(FlatPipelineTest, HavingFiltersGroups) {
   pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kCount, "", "", "n"});
   pipeline.AddAggregate(
       FlatAggSpec{FlatAggKind::kFirst, "MET.pt", "", "met"});
-  pipeline.AddHaving(FlatGe(FlatCol("n"), FlatLit(2.0)));
-  pipeline.AddHistogram({"met", "", 10, 0, 100}, FlatCol("met"));
+  pipeline.AddHaving(Ge(Col(pipeline, "n"), Lit(2.0)));
+  pipeline.AddHistogram({"met", "", 10, 0, 100}, Col(pipeline, "met"));
   auto result = pipeline.Execute(TinyFile(), ReaderOptions{}, 1).ValueOrDie();
   EXPECT_EQ(result.histograms[0].num_entries(), 1u);
   EXPECT_DOUBLE_EQ(result.histograms[0].mean(), 10.0);
@@ -118,8 +122,7 @@ TEST(FlatPipelineTest, SelfJoinProducesFullProduct) {
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "a"});
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "b"});
   pipeline.AddHistogram({"x", "", 10, 0, 200},
-                        FlatBin(BinOp::kAdd, FlatCol("a.pt"),
-                                FlatCol("b.pt")));
+                        Add(Col(pipeline, "a.pt"), Col(pipeline, "b.pt")));
   auto result = pipeline.Execute(TinyFile(), ReaderOptions{}, 1).ValueOrDie();
   // Full Cartesian product per event: 3*3 + 1*1 = 10 rows (the plan-shape
   // cost the WHERE idx filter would then cut down).
@@ -129,8 +132,8 @@ TEST(FlatPipelineTest, SelfJoinProducesFullProduct) {
 TEST(FlatPipelineTest, OrdinalsAreZeroBasedPerEvent) {
   FlatPipeline pipeline("ord");
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
-  pipeline.AddFilter(FlatBin(BinOp::kEq, FlatCol("j.idx"), FlatLit(0.0)));
-  pipeline.AddHistogram({"lead", "", 10, 0, 100}, FlatCol("j.pt"));
+  pipeline.AddFilter(Eq(Col(pipeline, "j.idx"), Lit(0.0)));
+  pipeline.AddHistogram({"lead", "", 10, 0, 100}, Col(pipeline, "j.pt"));
   auto result = pipeline.Execute(TinyFile(), ReaderOptions{}, 1).ValueOrDie();
   // Leading jets: 50 (event 0) and 20 (event 1).
   EXPECT_EQ(result.histograms[0].num_entries(), 2u);
@@ -140,16 +143,62 @@ TEST(FlatPipelineTest, OrdinalsAreZeroBasedPerEvent) {
 TEST(FlatPipelineTest, UnknownColumnFailsAtPreparation) {
   FlatPipeline pipeline("bad");
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
-  pipeline.AddHistogram({"x", "", 10, 0, 1}, FlatCol("j.nope"));
+  pipeline.AddHistogram({"x", "", 10, 0, 1}, Col(pipeline, "j.nope"));
   EXPECT_EQ(pipeline.Execute(TinyFile(), ReaderOptions{}, 1).status().code(),
             StatusCode::kKeyError);
+}
+
+TEST(FlatPipelineTest, ColumnsInternToOneSlotPerName) {
+  FlatPipeline pipeline("slots");
+  const int pt = pipeline.Column("j.pt");
+  EXPECT_EQ(pipeline.Column("j.eta"), pt + 1);
+  EXPECT_EQ(pipeline.Column("j.pt"), pt);
+}
+
+TEST(FlatPipelineTest, HavingReadsOnlyAggregateOutputs) {
+  // Grouped HAVING runs over the aggregate output, where flat-row columns
+  // no longer exist.
+  FlatPipeline pipeline("bad");
+  pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
+  pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kCount, "", "", "n"});
+  pipeline.AddHaving(Gt(Col(pipeline, "j.pt"), Lit(0.0)));
+  pipeline.AddHistogram({"x", "", 10, 0, 1}, Col(pipeline, "n"));
+  EXPECT_EQ(pipeline.Execute(TinyFile(), ReaderOptions{}, 1).status().code(),
+            StatusCode::kKeyError);
+}
+
+TEST(FlatPipelineTest, IteratorMemberIsInvalid) {
+  // Flat rows bind no particle lists, so iterator members cannot resolve.
+  FlatPipeline pipeline("bad");
+  pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
+  pipeline.AddHistogram({"x", "", 10, 0, 1}, IterMember(0, 0, 0));
+  EXPECT_EQ(pipeline.Execute(TinyFile(), ReaderOptions{}, 1).status().code(),
+            StatusCode::kInvalid);
+}
+
+TEST(FlatPipelineTest, InterpretedAndCompiledTiersAgree) {
+  for (const ExprExec exec : {ExprExec::kInterpreted, ExprExec::kSimd}) {
+    FlatPipeline pipeline("tiers");
+    pipeline.AddUnnest(UnnestList{"Jet", {"pt", "eta"}, "j"});
+    pipeline.AddFilter(Gt(Col(pipeline, "j.pt"), Lit(15.0)));
+    pipeline.AddProject("x",
+                        Mul(Col(pipeline, "j.pt"), Col(pipeline, "j.eta")));
+    pipeline.AddFilter(Lt(Col(pipeline, "x"), Lit(70.0)));
+    pipeline.AddHistogram({"x", "", 10, -100, 100}, Col(pipeline, "x"));
+    pipeline.set_expr_exec(exec);
+    auto result =
+        pipeline.Execute(TinyFile(), ReaderOptions{}, 1).ValueOrDie();
+    // 50*0.5, 45*1.5, 20*0 pass the first filter: 25, 67.5, 0 (all < 70).
+    EXPECT_EQ(result.histograms[0].num_entries(), 3u);
+    EXPECT_DOUBLE_EQ(result.histograms[0].mean(), 92.5 / 3.0);
+  }
 }
 
 TEST(FlatPipelineTest, HavingWithoutAggregatesIsInvalid) {
   FlatPipeline pipeline("bad");
   pipeline.AddKeepScalar("MET.pt");
-  pipeline.AddHaving(FlatGt(FlatCol("MET.pt"), FlatLit(0.0)));
-  pipeline.AddHistogram({"x", "", 10, 0, 1}, FlatCol("MET.pt"));
+  pipeline.AddHaving(Gt(Col(pipeline, "MET.pt"), Lit(0.0)));
+  pipeline.AddHistogram({"x", "", 10, 0, 1}, Col(pipeline, "MET.pt"));
   EXPECT_EQ(pipeline.Execute(TinyFile(), ReaderOptions{}, 1).status().code(),
             StatusCode::kInvalid);
 }

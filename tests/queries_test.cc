@@ -271,6 +271,42 @@ TEST(QueriesTest, FlatPipelineOnlyForUnnestFriendlyQueries) {
             StatusCode::kNotImplemented);
 }
 
+// Golden sargable residue of both SQL plan shapes. A predicate matcher
+// lost from either extractor would only show as more bytes read, so the
+// extracted sets are pinned here exactly.
+TEST(QueriesTest, ScanPredicatesPerPlanShape) {
+  const char* const kFlat[] = {
+      "",
+      "Jet#lengths in [1, inf]\n",
+      "Jet#lengths in [1, inf]\n",
+      "Jet#lengths in [2, inf]\nJet.pt has element in [40, inf]\n",
+      "Muon#lengths in [2, inf]\n",
+      "Jet#lengths in [3, inf]\n",
+  };
+  for (int q = 1; q <= 6; ++q) {
+    auto pipeline = BuildAdlFlatPipeline(q);
+    ASSERT_TRUE(pipeline.ok()) << "Q" << q;
+    EXPECT_EQ(pipeline->ScanPredicates().ToString(), kFlat[q - 1])
+        << "flat Q" << q;
+  }
+  const char* const kEvent[] = {
+      "",
+      "",
+      "",
+      "Jet#lengths in [2, inf]\nJet.pt has element in [40, inf]\n",
+      "Muon#lengths in [2, inf]\n",
+      "Jet#lengths in [3, inf]\n",
+      "",
+      "Electron#lengths + Muon#lengths >= 3\n",
+  };
+  for (int q = 1; q <= 8; ++q) {
+    auto query = BuildAdlEventQuery(q);
+    ASSERT_TRUE(query.ok()) << "Q" << q;
+    EXPECT_EQ(query->ScanPredicates().ToString(), kEvent[q - 1])
+        << "event Q" << q;
+  }
+}
+
 TEST(QueriesTest, EventQueryBuildersForAllQueries) {
   for (int q = 1; q <= 8; ++q) {
     EXPECT_TRUE(BuildAdlEventQuery(q).ok()) << "Q" << q;

@@ -373,7 +373,7 @@ TEST(CompiledKernelTest, RandomTreesMatchInterpreterBitForBit) {
 
     uint64_t compiled_ops = 0;
     ASSERT_TRUE(kernel
-                    ->Eval(bindings, rows, &scratch, compiled.data(),
+                    ->Eval(bindings, nullptr, rows, &scratch, compiled.data(),
                            &compiled_ops)
                     .ok());
     for (int64_t row = 0; row < rows; ++row) {
@@ -382,6 +382,20 @@ TEST(CompiledKernelTest, RandomTreesMatchInterpreterBitForBit) {
           << "row " << row;
     }
     EXPECT_EQ(compiled_ops, interp_ops);
+
+    // Selection-vector form: lane i evaluates row odd[i].
+    std::vector<uint32_t> odd;
+    for (int64_t row = 1; row < rows; row += 2) {
+      odd.push_back(static_cast<uint32_t>(row));
+    }
+    ASSERT_TRUE(kernel
+                    ->Eval(bindings, odd.data(),
+                           static_cast<int64_t>(odd.size()), &scratch,
+                           compiled.data(), nullptr)
+                    .ok());
+    for (size_t i = 0; i < odd.size(); ++i) {
+      EXPECT_EQ(Bits(compiled[i]), Bits(expected[odd[i]])) << "row " << odd[i];
+    }
   }
 }
 
@@ -407,9 +421,10 @@ TEST(CompiledKernelTest, CombinationInValuePositionKeepsBindingSemantics) {
   VexprScratch scratch;
   std::vector<double> compiled(static_cast<size_t>(rows));
   uint64_t compiled_ops = 0;
-  ASSERT_TRUE(
-      kernel->Eval(bindings, rows, &scratch, compiled.data(), &compiled_ops)
-          .ok());
+  ASSERT_TRUE(kernel
+                  ->Eval(bindings, nullptr, rows, &scratch, compiled.data(),
+                         &compiled_ops)
+                  .ok());
   uint64_t interp_ops = 0;
   for (int64_t row = 0; row < rows; ++row) {
     EvalContext ctx;
@@ -528,8 +543,10 @@ TEST(CompiledKernelTest, AdversarialNanInfAgreeAcrossAllTiers) {
     ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
     uint64_t ops = 0;
     uint64_t interp_ops = 0;
-    ASSERT_TRUE(
-        kernel->Eval(bindings, rows, &scratch, compiled.data(), &ops).ok());
+    ASSERT_TRUE(kernel
+                    ->Eval(bindings, nullptr, rows, &scratch, compiled.data(),
+                           &ops)
+                    .ok());
     for (int64_t row = 0; row < rows; ++row) {
       EvalContext ctx;
       ctx.bindings = &bindings;
@@ -564,17 +581,18 @@ TEST(CompiledKernelTest, GateMatchesEvalPlusCompactionAcrossDensities) {
     std::vector<double> values(static_cast<size_t>(rows));
     std::vector<uint32_t> expect_sel, gate_sel(static_cast<size_t>(rows));
     uint64_t eval_ops = 0;
-    ASSERT_TRUE(
-        kernel->Eval(bindings, rows, &scratch, values.data(), &eval_ops)
-            .ok());
+    ASSERT_TRUE(kernel
+                    ->Eval(bindings, nullptr, rows, &scratch, values.data(),
+                           &eval_ops)
+                    .ok());
     for (int64_t row = 0; row < rows; ++row) {
       if (values[static_cast<size_t>(row)] != 0.0) {
         expect_sel.push_back(static_cast<uint32_t>(row));
       }
     }
     uint64_t gate_ops = 0;
-    const auto count =
-        kernel->Gate(bindings, rows, &scratch, gate_sel.data(), &gate_ops);
+    const auto count = kernel->Gate(bindings, nullptr, rows, &scratch,
+                                    gate_sel.data(), &gate_ops);
     ASSERT_TRUE(count.ok()) << count.status().ToString();
     ASSERT_EQ(static_cast<size_t>(*count), expect_sel.size());
     for (size_t i = 0; i < expect_sel.size(); ++i) {

@@ -12,9 +12,14 @@
 // metric name is parsed as a tier pair and the measured value computed
 // as ns_per_row[tierA] / ns_per_row[tierB] from the fresh records (the
 // ratio self-normalizes across machines; absolute times would only
-// measure the runner). A measured ratio below (1 - max_drop) * baseline
-// is a regression; improvements never fail. Exit codes: 0 ok, 1
-// regression, 2 malformed/missing input.
+// measure the runner). A kernel whose speed depends on the CPU path it
+// dispatched to (CRC-32: PCLMUL or portable) has one floor per path,
+// { "<tierA>_over_<tierB>": { "<path>": ratio, ... } }, and its records
+// carry the path they ran; the floor of the recorded path applies. A
+// measured ratio below (1 - max_drop) * baseline is a regression;
+// improvements never fail. Exit codes: 0 ok, 1 regression, 2
+// malformed/missing input (including a BENCH file that is not strict
+// JSON, e.g. one holding a bare nan).
 
 #include <cstdio>
 #include <cstdlib>
@@ -31,8 +36,11 @@ using hepq::json::JsonValue;
 
 /// kernel -> tier -> ns_per_row from the flat BENCH record array.
 using TierCosts = std::map<std::string, std::map<std::string, double>>;
+/// kernel -> dispatch path its records report (absent when none).
+using KernelPaths = std::map<std::string, std::string>;
 
-bool LoadMeasurements(const JsonValue& bench, TierCosts* costs) {
+bool LoadMeasurements(const JsonValue& bench, TierCosts* costs,
+                      KernelPaths* paths) {
   if (!bench.is_array()) {
     std::fprintf(stderr, "bench file is not a JSON array of records\n");
     return false;
@@ -41,6 +49,11 @@ bool LoadMeasurements(const JsonValue& bench, TierCosts* costs) {
     const JsonValue* kernel = record.Find("kernel");
     const JsonValue* tier = record.Find("tier");
     const JsonValue* ns = record.Find("ns_per_row");
+    const JsonValue* path = record.Find("path");
+    if (kernel != nullptr && kernel->is_string() && path != nullptr &&
+        path->is_string()) {
+      (*paths)[kernel->string_value()] = path->string_value();
+    }
     if (kernel == nullptr || tier == nullptr || ns == nullptr) continue;
     if (!kernel->is_string() || !tier->is_string() || !ns->is_number()) {
       continue;
@@ -103,14 +116,15 @@ int main(int argc, char** argv) {
   }
 
   TierCosts costs;
-  if (!LoadMeasurements(*bench, &costs)) return 2;
+  KernelPaths kernel_paths;
+  if (!LoadMeasurements(*bench, &costs, &kernel_paths)) return 2;
   const JsonValue* kernels = baseline->Find("kernels");
   if (kernels == nullptr || !kernels->is_object()) {
     std::fprintf(stderr, "baseline has no \"kernels\" object\n");
     return 2;
   }
 
-  std::printf("%-18s %-22s %9s %9s %8s  %s\n", "kernel", "metric",
+  std::printf("%-18s %-32s %9s %9s %8s  %s\n", "kernel", "metric",
               "baseline", "measured", "change", "verdict");
   bool regression = false;
   int compared = 0;
@@ -128,8 +142,29 @@ int main(int argc, char** argv) {
                    kernel_name.c_str(), paths[0].c_str());
       return 2;
     }
-    for (const auto& [metric_name, base_value] : metrics.object_items()) {
-      if (!base_value.is_number()) continue;  // e.g. a comment string
+    for (const auto& [metric_name, metric_value] : metrics.object_items()) {
+      const JsonValue* base_value = &metric_value;
+      std::string label = metric_name;
+      if (metric_value.is_object()) {
+        // Per-path floors: pick the one of the path the kernel ran.
+        const auto path = kernel_paths.find(kernel_name);
+        if (path == kernel_paths.end()) {
+          std::fprintf(stderr,
+                       "kernel '%s' has per-path floors but its records "
+                       "carry no \"path\"\n",
+                       kernel_name.c_str());
+          return 2;
+        }
+        base_value = metric_value.Find(path->second);
+        if (base_value == nullptr || !base_value->is_number()) {
+          std::fprintf(stderr, "baseline '%s.%s' has no floor for path '%s'\n",
+                       kernel_name.c_str(), metric_name.c_str(),
+                       path->second.c_str());
+          return 2;
+        }
+        label += "[" + path->second + "]";
+      }
+      if (!base_value->is_number()) continue;  // e.g. a comment string
       std::string num_tier, den_tier;
       if (!SplitRatioMetric(metric_name, &num_tier, &den_tier)) {
         std::fprintf(stderr,
@@ -149,12 +184,12 @@ int main(int argc, char** argv) {
                      den_tier.c_str());
         return 2;
       }
-      const double base = base_value.number_value();
+      const double base = base_value->number_value();
       const double measured = num_it->second / den_it->second;
       const double change = base > 0.0 ? (measured - base) / base : 0.0;
       const bool failed = measured < (1.0 - max_drop) * base;
-      std::printf("%-18s %-22s %9.3f %9.3f %+7.1f%%  %s\n",
-                  kernel_name.c_str(), metric_name.c_str(), base, measured,
+      std::printf("%-18s %-32s %9.3f %9.3f %+7.1f%%  %s\n",
+                  kernel_name.c_str(), label.c_str(), base, measured,
                   change * 100.0, failed ? "REGRESSION" : "ok");
       regression |= failed;
       ++compared;
