@@ -1,6 +1,5 @@
 #include "engine/event_query.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -36,7 +35,7 @@ void EventQuery::AddStage(ExprPtr guard) {
 int EventQuery::AddHistogram(HistogramSpec spec, ExprPtr value) {
   FillSpec fill;
   fill.spec = std::move(spec);
-  fill.scalar = std::move(value);
+  fill.fill.scalar = std::move(value);
   fills_.push_back(std::move(fill));
   return static_cast<int>(fills_.size()) - 1;
 }
@@ -46,10 +45,11 @@ int EventQuery::AddPerElementHistogram(HistogramSpec spec, int list_slot,
                                        ExprPtr value) {
   FillSpec fill;
   fill.spec = std::move(spec);
-  fill.per_element = true;
-  fill.element =
-      PerElementFill{list_slot, iter_slot, std::move(filter),
-                     std::move(value)};
+  fill.fill.per_element = true;
+  fill.fill.list_slot = list_slot;
+  fill.fill.iter_slot = iter_slot;
+  fill.fill.filter = std::move(filter);
+  fill.fill.value = std::move(value);
   fills_.push_back(std::move(fill));
   return static_cast<int>(fills_.size()) - 1;
 }
@@ -59,43 +59,13 @@ int EventQuery::AddPerCombinationHistogram(HistogramSpec spec,
                                             ExprPtr filter, ExprPtr value) {
   FillSpec fill;
   fill.spec = std::move(spec);
-  fill.per_combination = true;
-  fill.combo_loops = std::move(loops);
-  fill.element.filter = std::move(filter);
-  fill.element.value = std::move(value);
+  fill.fill.per_combination = true;
+  fill.fill.loops = std::move(loops);
+  fill.fill.filter = std::move(filter);
+  fill.fill.value = std::move(value);
   fills_.push_back(std::move(fill));
   return static_cast<int>(fills_.size()) - 1;
 }
-
-namespace {
-
-/// Iterates the (symmetric-deduplicated) Cartesian product of `loops`,
-/// calling `visit` with the iterators bound — shared by the
-/// per-combination fill; mirrors the recursion inside BestCombination.
-template <typename Visit>
-void ForEachCombination(const std::vector<ComboLoop>& loops,
-                        EvalContext* ctx, size_t depth, const Visit& visit) {
-  if (depth == loops.size()) {
-    ++ctx->ops;
-    visit();
-    return;
-  }
-  const ComboLoop& loop = loops[depth];
-  const ListBinding& list = ctx->bindings->list(loop.list_slot);
-  uint32_t begin = list.begin(ctx->row);
-  const uint32_t end = list.end(ctx->row);
-  for (size_t d = 0; d < depth; ++d) {
-    if (loops[d].list_slot == loop.list_slot) {
-      begin = std::max(begin, ctx->iter_index[loops[d].iter_slot] + 1);
-    }
-  }
-  for (uint32_t i = begin; i < end; ++i) {
-    ctx->iter_index[loop.iter_slot] = i;
-    ForEachCombination(loops, ctx, depth + 1, visit);
-  }
-}
-
-}  // namespace
 
 std::vector<std::string> EventQuery::Projection() const {
   std::vector<std::string> projection;
@@ -260,23 +230,18 @@ std::string EventQuery::Explain() const {
     out += "  stage " + std::to_string(stage) + ": " +
            stages_[stage]->ToString() + "\n";
   }
-  for (size_t f = 0; f < fills_.size(); ++f) {
-    out += "  fill '" + fills_[f].spec.name + "': ";
-    if (fills_[f].per_combination) {
-      out += "per-combination";
-      if (fills_[f].element.filter != nullptr) {
-        out += " where " + fills_[f].element.filter->ToString();
+  for (const FillSpec& f : fills_) {
+    out += "  fill '" + f.spec.name + "': ";
+    if (f.fill.per_combination || f.fill.per_element) {
+      out += f.fill.per_combination
+                 ? std::string("per-combination")
+                 : "per-element(list" + std::to_string(f.fill.list_slot) + ")";
+      if (f.fill.filter != nullptr) {
+        out += " where " + f.fill.filter->ToString();
       }
-      out += " <- " + fills_[f].element.value->ToString();
-    } else if (fills_[f].per_element) {
-      out += "per-element(list" +
-             std::to_string(fills_[f].element.list_slot) + ")";
-      if (fills_[f].element.filter != nullptr) {
-        out += " where " + fills_[f].element.filter->ToString();
-      }
-      out += " <- " + fills_[f].element.value->ToString();
+      out += " <- " + f.fill.value->ToString();
     } else {
-      out += fills_[f].scalar->ToString();
+      out += f.fill.scalar->ToString();
     }
     out += "\n";
   }
@@ -294,25 +259,17 @@ EventQueryResult EventQuery::MakeResult() const {
 
 Status EventQuery::EnsureCompiled() const {
   std::lock_guard<std::mutex> lock(*compile_mu_);
-  if (compiled_ != nullptr) return Status::OK();
-  obs::ScopedSpan span("vexpr_compile", obs::Stage::kPlan);
-  CompiledQuerySpec spec;
-  spec.stages = stages_;
-  spec.fills.reserve(fills_.size());
-  for (const FillSpec& fill : fills_) {
-    CompiledQuerySpec::Fill f;
-    f.scalar = fill.scalar;
-    f.list_slot = fill.element.list_slot;
-    f.iter_slot = fill.element.iter_slot;
-    f.filter = fill.element.filter;
-    f.value = fill.element.value;
-    f.loops = fill.combo_loops;
-    f.per_element = fill.per_element;
-    f.per_combination = fill.per_combination;
-    spec.fills.push_back(std::move(f));
+  if (planned_) return Status::OK();
+  if (HasBatchedSearch(stages_)) {
+    obs::ScopedSpan span("vexpr_compile", obs::Stage::kPlan);
+    CompiledQuerySpec spec;
+    spec.stages = stages_;
+    spec.fills.reserve(fills_.size());
+    for (const FillSpec& fill : fills_) spec.fills.push_back(fill.fill);
+    HEPQ_ASSIGN_OR_RETURN(compiled_,
+                          CompiledEventQuery::Compile(std::move(spec)));
   }
-  HEPQ_ASSIGN_OR_RETURN(compiled_,
-                        CompiledEventQuery::Compile(std::move(spec)));
+  planned_ = true;
   return Status::OK();
 }
 
@@ -325,28 +282,28 @@ Status EventQuery::ExecuteBatch(const RecordBatch& batch,
                                 EventQueryResult* result,
                                 VexprScratch* scratch) const {
   obs::ScopedSpan span("expr_batch", obs::Stage::kExpr);
+  const CompiledEventQuery* compiled = nullptr;
   if (expr_exec_ != ExprExec::kInterpreted) {
     HEPQ_RETURN_NOT_OK(EnsureCompiled());
+    compiled = compiled_.get();
+  }
+  BatchBindings bindings;
+  HEPQ_ASSIGN_OR_RETURN(bindings,
+                        BatchBindings::Bind(batch, lists_, scalars_));
+  const int64_t rows = batch.num_rows();
+  if (compiled != nullptr) {
     if (scratch == nullptr) {
       thread_local VexprScratch tls_scratch;
       scratch = &tls_scratch;
     }
-    BatchBindings bindings;
-    HEPQ_ASSIGN_OR_RETURN(bindings,
-                          BatchBindings::Bind(batch, lists_, scalars_));
-    const int64_t rows = batch.num_rows();
-    HEPQ_RETURN_NOT_OK(compiled_->ExecuteBatch(
+    HEPQ_RETURN_NOT_OK(compiled->ExecuteBatch(
         bindings, rows, scratch, &result->histograms,
         &result->events_selected, &result->ops));
     result->events_processed += rows;
     return Status::OK();
   }
-  BatchBindings bindings;
-  HEPQ_ASSIGN_OR_RETURN(bindings,
-                        BatchBindings::Bind(batch, lists_, scalars_));
   EvalContext ctx;
   ctx.bindings = &bindings;
-  const int64_t rows = batch.num_rows();
   for (int64_t row = 0; row < rows; ++row) {
     ctx.row = static_cast<uint32_t>(row);
     ++ctx.ops;  // the per-event base record access (Table 2's "+1")
@@ -360,34 +317,7 @@ Status EventQuery::ExecuteBatch(const RecordBatch& batch,
     if (!pass) continue;
     ++result->events_selected;
     for (size_t f = 0; f < fills_.size(); ++f) {
-      const FillSpec& fill = fills_[f];
-      Histogram1D& hist = result->histograms[f];
-      if (fill.per_combination) {
-        ForEachCombination(fill.combo_loops, &ctx, 0, [&] {
-          if (fill.element.filter != nullptr &&
-              !fill.element.filter->EvalBool(&ctx)) {
-            return;
-          }
-          hist.Fill(fill.element.value->Eval(&ctx));
-        });
-        continue;
-      }
-      if (!fill.per_element) {
-        hist.Fill(fill.scalar->Eval(&ctx));
-        continue;
-      }
-      const ListBinding& list = bindings.list(fill.element.list_slot);
-      const uint32_t begin = list.begin(ctx.row);
-      const uint32_t end = list.end(ctx.row);
-      for (uint32_t i = begin; i < end; ++i) {
-        ctx.iter_index[fill.element.iter_slot] = i;
-        ++ctx.ops;
-        if (fill.element.filter != nullptr &&
-            !fill.element.filter->EvalBool(&ctx)) {
-          continue;
-        }
-        hist.Fill(fill.element.value->Eval(&ctx));
-      }
+      FillEvent(fills_[f].fill, &ctx, &result->histograms[f]);
     }
   }
   result->events_processed += rows;

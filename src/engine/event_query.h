@@ -77,9 +77,12 @@ class EventQuery {
                                  std::vector<ComboLoop> loops,
                                  ExprPtr filter, ExprPtr value);
 
-  /// Selects between the compiled batch-kernel path (the default) and the
-  /// per-row tree-walking interpreter. Results are bit-identical; the
-  /// interpreter is kept for the interpreted-vs-compiled ablation.
+  /// Selects the expression tier. Under kSimd (the default) a plan with a
+  /// batched combination search (HasBatchedSearch, engine/vexpr.h) runs
+  /// the compiled batch kernels; every other plan, and every plan under
+  /// kInterpreted, runs the per-row tree-walking interpreter. Results are
+  /// bit-identical; the interpreter is kept for the interpreted-vs-compiled
+  /// ablation.
   void set_expr_exec(ExprExec exec) { expr_exec_ = exec; }
   ExprExec expr_exec() const { return expr_exec_; }
 
@@ -118,23 +121,15 @@ class EventQuery {
   EventQueryResult MakeResult() const;
 
  private:
-  struct PerElementFill {
-    int list_slot;
-    int iter_slot;
-    ExprPtr filter;
-    ExprPtr value;
-  };
   struct FillSpec {
     HistogramSpec spec;
-    ExprPtr scalar;          // exactly one representation is active
-    PerElementFill element;
-    std::vector<ComboLoop> combo_loops;  // with element.filter/.value
-    bool per_element = false;
-    bool per_combination = false;
+    FillExpr fill;
   };
 
-  /// Compiles the stages and fills to batch programs on first use (compiled
-  /// mode only). Safe to race; Execute paths call it before fanning out.
+  /// Decides the plan's tier on first use (compiled mode only): compiles
+  /// the stages and fills when the plan has a batched combination search,
+  /// and leaves `compiled_` null otherwise. Safe to race; Execute paths
+  /// call it before fanning out.
   Status EnsureCompiled() const;
 
   std::string name_;
@@ -147,6 +142,7 @@ class EventQuery {
   // value); the compiled plan cache moves with the query.
   mutable std::unique_ptr<std::mutex> compile_mu_ =
       std::make_unique<std::mutex>();
+  mutable bool planned_ = false;  // EnsureCompiled ran (under compile_mu_)
   mutable std::shared_ptr<const CompiledEventQuery> compiled_;
 };
 

@@ -382,46 +382,42 @@ class AggOverListExpr final : public Expr {
   ExprPtr value_;
 };
 
-/// Shared machinery for combination searches: iterates the (restricted)
-/// Cartesian product of the loop lists, calling `visit` for each
-/// combination that survives the per-loop symmetric-deduplication rule.
+/// Iterates the (restricted) Cartesian product of `loops` for event
+/// ctx->row, binding the loop iterators and calling `visit` once per
+/// combination (+1 op each). Shared by the combination searches and the
+/// per-combination fill.
+template <typename Visit>
+void ForEachCombination(const std::vector<ComboLoop>& loops,
+                        EvalContext* ctx, size_t depth, const Visit& visit) {
+  if (depth == loops.size()) {
+    ++ctx->ops;
+    visit();
+    return;
+  }
+  const ComboLoop& loop = loops[depth];
+  const ListBinding& list = ctx->bindings->list(loop.list_slot);
+  uint32_t begin = list.begin(ctx->row);
+  const uint32_t end = list.end(ctx->row);
+  // Symmetric combinations: if an earlier loop runs over the same list,
+  // start strictly after its current element so each unordered
+  // combination is explored exactly once.
+  for (size_t d = 0; d < depth; ++d) {
+    if (loops[d].list_slot == loop.list_slot) {
+      begin = std::max(begin, ctx->iter_index[loops[d].iter_slot] + 1);
+    }
+  }
+  for (uint32_t i = begin; i < end; ++i) {
+    ctx->iter_index[loop.iter_slot] = i;
+    ForEachCombination(loops, ctx, depth + 1, visit);
+  }
+}
+
+/// Shared state of the combination searches.
 class CombinationExprBase : public Expr {
  protected:
   explicit CombinationExprBase(std::vector<ComboLoop> loops)
       : loops_(std::move(loops)) {}
 
-  template <typename Visit>
-  void ForEachCombination(EvalContext* ctx, const Visit& visit) const {
-    Recurse(ctx, 0, visit);
-  }
-
- private:
-  template <typename Visit>
-  void Recurse(EvalContext* ctx, size_t depth, const Visit& visit) const {
-    if (depth == loops_.size()) {
-      ++ctx->ops;
-      visit();
-      return;
-    }
-    const ComboLoop& loop = loops_[depth];
-    const ListBinding& list = ctx->bindings->list(loop.list_slot);
-    uint32_t begin = list.begin(ctx->row);
-    const uint32_t end = list.end(ctx->row);
-    // Symmetric combinations: if an earlier loop runs over the same list,
-    // start strictly after its current element so each unordered
-    // combination is explored exactly once.
-    for (size_t d = 0; d < depth; ++d) {
-      if (loops_[d].list_slot == loop.list_slot) {
-        begin = std::max(begin, ctx->iter_index[loops_[d].iter_slot] + 1);
-      }
-    }
-    for (uint32_t i = begin; i < end; ++i) {
-      ctx->iter_index[loop.iter_slot] = i;
-      Recurse(ctx, depth + 1, visit);
-    }
-  }
-
- protected:
   std::vector<ComboLoop> loops_;
 };
 
@@ -437,7 +433,7 @@ class BestCombinationExpr final : public CombinationExprBase {
     double best_key = std::numeric_limits<double>::infinity();
     uint32_t best[kMaxIterators];
     bool found = false;
-    ForEachCombination(ctx, [&] {
+    ForEachCombination(loops_, ctx, 0, [&] {
       if (filter_ != nullptr && !filter_->EvalBool(ctx)) return;
       const double k = key_->Eval(ctx);
       if (!found || k < best_key) {
@@ -481,7 +477,7 @@ class AnyCombinationExpr final : public CombinationExprBase {
   double Eval(EvalContext* ctx) const override {
     bool found = false;
     uint32_t bound[kMaxIterators];
-    ForEachCombination(ctx, [&] {
+    ForEachCombination(loops_, ctx, 0, [&] {
       if (found) return;  // no early exit from the recursion; cheap check
       if (filter_ == nullptr || filter_->EvalBool(ctx)) {
         found = true;
@@ -514,6 +510,28 @@ class AnyCombinationExpr final : public CombinationExprBase {
 };
 
 }  // namespace
+
+void FillEvent(const FillExpr& fill, EvalContext* ctx, Histogram1D* hist) {
+  if (fill.per_combination) {
+    ForEachCombination(fill.loops, ctx, 0, [&] {
+      if (fill.filter != nullptr && !fill.filter->EvalBool(ctx)) return;
+      hist->Fill(fill.value->Eval(ctx));
+    });
+    return;
+  }
+  if (!fill.per_element) {
+    hist->Fill(fill.scalar->Eval(ctx));
+    return;
+  }
+  const ListBinding& list = ctx->bindings->list(fill.list_slot);
+  const uint32_t end = list.end(ctx->row);
+  for (uint32_t i = list.begin(ctx->row); i < end; ++i) {
+    ctx->iter_index[fill.iter_slot] = i;
+    ++ctx->ops;
+    if (fill.filter != nullptr && !fill.filter->EvalBool(ctx)) continue;
+    hist->Fill(fill.value->Eval(ctx));
+  }
+}
 
 ExprPtr Lit(double value) { return std::make_shared<LitExpr>(value); }
 

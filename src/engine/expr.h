@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/histogram.h"
 #include "engine/context.h"
 
 namespace hepq::engine {
@@ -159,6 +160,29 @@ ExprPtr AnyCombination(std::vector<ComboLoop> loops, ExprPtr filter);
 /// pair" uses the negated pt as key). Yields 1 if found, else 0.
 ExprPtr BestElement(int list_slot, int iter_slot, ExprPtr filter,
                     ExprPtr key);
+
+// ---- Histogram fills -------------------------------------------------------
+
+/// One histogram fill of an event-shape query, in one of three forms:
+/// once per event (`scalar`); once per element of `list_slot` (bound to
+/// `iter_slot`) passing `filter`; or once per combination of `loops`
+/// passing `filter` (loops over one list take strictly increasing
+/// ordinals, as in BestCombination). The last two fill `value`; `filter`
+/// is optional.
+struct FillExpr {
+  ExprPtr scalar;
+  int list_slot = -1;
+  int iter_slot = -1;
+  ExprPtr filter;
+  ExprPtr value;
+  std::vector<ComboLoop> loops;
+  bool per_element = false;
+  bool per_combination = false;
+};
+
+/// The interpreter's fill step for event ctx->row under the iterators ctx
+/// binds: adds 1 to ctx->ops per element or combination visited.
+void FillEvent(const FillExpr& fill, EvalContext* ctx, Histogram1D* hist);
 
 // ---- Convenience wrappers -------------------------------------------------
 

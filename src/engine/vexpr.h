@@ -14,16 +14,26 @@ namespace hepq::engine {
 
 // Vectorized expression compiler.
 //
-// An Expr tree — per event in the BigQuery plan shape, per flat row in
-// the Presto shape — is lowered once into a flat postfix program: every
-// leaf and every operator becomes one instruction over a *batch of lanes*. The lowering performs constant folding and common-subexpression
-// elimination, and resolves member accessors to typed input slots, so the
-// per-lane hot loop contains no virtual dispatch, no shared_ptr chasing,
-// and no per-access type switch — the `MemberAccessor::Get` switch runs
-// once per (instruction, batch) instead of once per access. This is the
-// paper's fast execution model (BigQuery's vectorized array expressions)
-// as opposed to the tree-walking interpreter (the Rumble end of Figure 1);
-// both are kept and selectable via ExprExec so the gap stays measurable.
+// A *pure* Expr tree — one with no aggregate and no combination node, so
+// evaluating it neither counts ops nor binds iterators — is lowered once
+// into a flat postfix program: every leaf and every operator becomes one
+// instruction over a *batch of lanes*. The lowering performs constant
+// folding and common-subexpression elimination, and resolves member
+// accessors to typed input slots, so the per-lane hot loop contains no
+// virtual dispatch, no shared_ptr chasing, and no per-access type switch —
+// the `MemberAccessor::Get` switch runs once per (instruction, batch)
+// instead of once per access. This is the paper's fast execution model
+// (BigQuery's vectorized array expressions) as opposed to the
+// tree-walking interpreter (the Rumble end of Figure 1); both are kept
+// and selectable via ExprExec so the gap stays measurable.
+//
+// Batch code pays where a query multiplies lanes: the event-shape driver
+// (CompiledEventQuery) exists for stage-position combination searches
+// with pure filter and key, whose bodies run once per particle
+// combination. Aggregates, per-element and per-combination fills and any
+// other impure expression run the interpreter's tree walk, which
+// measured faster than batching them; EventQuery compiles a plan only
+// when it has such a search (HasBatchedSearch).
 //
 // The VProgram is the compile-once form, never executed directly:
 // Finish() runs the fusion pass (engine/vexpr_fuse), which regroups the
@@ -252,24 +262,22 @@ class VexprScratch {
 /// from its declarations; the split keeps event_query.h light).
 struct CompiledQuerySpec {
   std::vector<ExprPtr> stages;
-  struct Fill {
-    ExprPtr scalar;  // exactly one representation is active, as in FillSpec
-    int list_slot = -1;
-    int iter_slot = -1;
-    ExprPtr filter;
-    ExprPtr value;
-    std::vector<ComboLoop> loops;
-    bool per_element = false;
-    bool per_combination = false;
-  };
-  std::vector<Fill> fills;
+  std::vector<FillExpr> fills;
 };
 
-/// A fully compiled event-shape query: stage predicates narrow an event
-/// selection vector, aggregate and combination drivers batch their inner
-/// filter/score bodies across all surviving events, and fills evaluate
-/// over the final selection. ExecuteBatch mirrors the interpreter loop in
-/// EventQuery::ExecuteBatch bit for bit, including the ops counters.
+/// True when some stage's top-level conjunct is a combination search
+/// (BestCombination / AnyCombination) whose filter and key are pure — the
+/// plans CompiledEventQuery batches faster than the tree walk. EventQuery
+/// compiles only those; every other plan runs its interpreter loop under
+/// either tier.
+bool HasBatchedSearch(const std::vector<ExprPtr>& stages);
+
+/// A compiled event-shape query: stage predicates narrow an event
+/// selection vector, combination searches batch their filter/key bodies
+/// across every combination of the surviving events, pure conjuncts and
+/// pure scalar fills run as batch programs, and everything impure walks
+/// the tree per selected event. ExecuteBatch mirrors the interpreter loop
+/// in EventQuery::ExecuteBatch bit for bit, including the ops counters.
 class CompiledEventQuery {
  public:
   ~CompiledEventQuery();
@@ -293,7 +301,9 @@ class CompiledEventQuery {
 /// Compiles a single expression for batch evaluation over the rows of a
 /// bound batch — the Presto plan shape's step and fill kernels, and the
 /// direct cross-check surface used by the randomized compiler tests and
-/// the expression micro-benchmarks.
+/// the expression micro-benchmarks. A pure expression runs as a batch
+/// program; an impure one (aggregates, combination searches) walks the
+/// tree once per lane.
 class CompiledExprKernel {
  public:
   static Result<CompiledExprKernel> Compile(ExprPtr expr);
@@ -320,8 +330,8 @@ class CompiledExprKernel {
 
   /// The compiled batch program — read access for the fused-plan stats
   /// (coverage, micro-op counts) reported by the expression benchmarks.
-  /// Empty (zero instructions) when the expression fell back to the
-  /// per-lane interpreter (combination searches).
+  /// Empty (zero instructions) when the expression is impure and walks
+  /// the tree per lane.
   const VProgram& program() const;
 
  private:

@@ -1,15 +1,22 @@
-// Lowers Expr trees (via their Shape() reflection) into VProgram batch code
-// plus a small set of batched drivers — aggregates, combination searches,
-// stage predicates, histogram fills — that together replicate the
-// tree-walking interpreter bit for bit, including its ops accounting
-// (Table 2): +1 per event base access, +1 per aggregate element visited
-// (kAny stops counting at its first match), +1 per combination enumerated.
+// The event-shape compiler has two jobs, and only two.
 //
-// The lowering is total: any subtree the vectorizer cannot express
-// (combination searches in value position, logical operators whose
-// operands have side effects on the ops counter) degrades to a per-lane
-// interpreter "producer" for exactly that subtree, so correctness never
-// depends on the shape of the query.
+//  1. It lowers *pure* Expr trees (via their Shape() reflection) into
+//     VProgram batch code. A tree is pure when it contains no aggregate
+//     and no combination node, so evaluating it neither touches the ops
+//     counter nor binds iterators, and eager batch evaluation is
+//     unobservable.
+//  2. It batches stage-position combination searches whose filter and
+//     key are pure: every combination of the surviving events becomes a
+//     lane, and the search body runs through the fused kernels with the
+//     particles' Cartesian components converted once per list element.
+//
+// Everything else runs the interpreter's per-event tree walk: aggregates,
+// per-element and per-combination fills, impure stage conjuncts, and the
+// roots of impure CompiledExprKernels. Batched drivers for those shapes
+// measured slower than the walk. Results and ops accounting (Table 2:
+// +1 per event base access, +1 per aggregate element visited, kAny
+// stopping at its first match, +1 per combination enumerated) match the
+// interpreter bit for bit.
 
 #include <algorithm>
 #include <array>
@@ -31,9 +38,9 @@ namespace {
 constexpr int kComboChunkLanes = 16384;
 
 /// A set of evaluation lanes: each lane is an (event row, iterator
-/// bindings) tuple — an event for stage predicates, a list element for
-/// aggregate bodies, a particle combination for searches. All iterator
-/// columns are absolute child-array indices, like EvalContext::iter_index.
+/// bindings) tuple — an event for stage predicates and fills, a particle
+/// combination for searches. All iterator columns are absolute
+/// child-array indices, like EvalContext::iter_index.
 struct Frame {
   const BatchBindings* bindings = nullptr;
   int n = 0;
@@ -45,6 +52,7 @@ struct Frame {
 
 /// A subtree is pure iff evaluating it neither touches the ops counter nor
 /// binds iterators — i.e. it contains no aggregate or combination node.
+/// Only pure subtrees are lowered to batch code.
 bool IsPure(const Expr* e) {
   const ExprShape s = e->Shape();
   switch (s.kind) {
@@ -61,48 +69,28 @@ bool IsPure(const Expr* e) {
   return true;
 }
 
-bool ContainsCombination(const Expr* e) {
-  if (e == nullptr) return false;
+/// A combination search whose filter and key are pure: the one shape
+/// RunComboUnit batches.
+bool IsBatchedSearch(const Expr* e) {
   const ExprShape s = e->Shape();
-  if (s.kind == ExprShape::Kind::kBestCombination ||
-      s.kind == ExprShape::Kind::kAnyCombination) {
-    return true;
-  }
-  for (const Expr* op : s.operands) {
-    if (ContainsCombination(op)) return true;
-  }
-  return ContainsCombination(s.filter) || ContainsCombination(s.value);
+  return (s.kind == ExprShape::Kind::kBestCombination ||
+          s.kind == ExprShape::Kind::kAnyCombination) &&
+         (s.filter == nullptr || IsPure(s.filter)) &&
+         (s.value == nullptr || IsPure(s.value));
 }
 
 // ---- Compiled structures ---------------------------------------------------
-
-struct AggNode;
-
-/// A whole-column input computed outside the batch program: either a
-/// batched aggregate or a per-lane interpreter walk of one subtree.
-struct Producer {
-  std::unique_ptr<AggNode> agg;
-  const Expr* interp = nullptr;
-};
 
 /// How one VProgram input slot is filled from a Frame. kCartesian slots
 /// are bound in groups of four (px, py, pz, E of one particle) by the
 /// decomposed-combination pre-pass below, not by the generic slot loop.
 struct SlotDesc {
-  enum class Kind {
-    kScalar,
-    kMember,
-    kOrdinal,
-    kListSize,
-    kProduced,
-    kCartesian
-  };
+  enum class Kind { kScalar, kMember, kOrdinal, kListSize, kCartesian };
   Kind kind = Kind::kScalar;
   int list_slot = -1;
   int iter_slot = -1;
   int member_slot = -1;
   int scalar_slot = -1;
-  int producer = -1;
 };
 
 /// One per-element Cartesian conversion: the (pt, eta, phi, mass) member
@@ -126,30 +114,27 @@ struct CartesianGroup {
 /// use one or two, the lowering falls back past the cap.
 constexpr int kMaxCartesianTables = 8;
 
+/// A lowered pure expression.
 struct CompiledScalar {
   VProgram program;
   std::vector<SlotDesc> slots;
-  std::vector<Producer> producers;
   std::vector<CartesianTable> ctables;
   std::vector<CartesianGroup> cgroups;
 
-  bool pure() const { return producers.empty(); }
-  void Eval(const Frame& f, VexprScratch* s, double* out,
-            uint64_t* ops) const;
+  void Eval(const Frame& f, VexprScratch* s, double* out) const;
   /// Predicate form: binds and runs the fused gate, writing the passing
   /// lane positions (ascending) to sel_out and returning their count —
   /// the 0/1 vector of Eval never materializes.
-  int Gate(const Frame& f, VexprScratch* s, bool negate, uint32_t* sel_out,
-           uint64_t* ops) const;
+  int Gate(const Frame& f, VexprScratch* s, bool negate,
+           uint32_t* sel_out) const;
 
  private:
   void BindCartesian(const Frame& f, VexprScratch* s,
                      std::vector<VColumn>* cols) const;
   /// Binds every input slot of `program` for frame `f` (cols must hold
-  /// slots.size() entries). Producer slots evaluate here, so `ops`
-  /// accounting is identical for Eval and Gate.
-  void Bind(const Frame& f, VexprScratch* s, std::vector<VColumn>* cols,
-            uint64_t* ops) const;
+  /// slots.size() entries).
+  void Bind(const Frame& f, VexprScratch* s,
+            std::vector<VColumn>* cols) const;
 };
 
 /// One atom of a conjunction: `scalar` must be nonzero (or zero when
@@ -159,41 +144,6 @@ struct Conjunct {
   CompiledScalar scalar;
 };
 
-/// An ordered conjunction evaluated with lane narrowing: conjunct k runs
-/// only on lanes that passed conjuncts 0..k-1, which reproduces the
-/// interpreter's left-to-right && short-circuit for any producers inside.
-struct CompiledPredicate {
-  std::vector<Conjunct> conjuncts;
-
-  bool pure() const {
-    for (const Conjunct& c : conjuncts) {
-      if (!c.scalar.pure()) return false;
-    }
-    return true;
-  }
-
-  /// Narrows `live` (ascending lane indices into `f`) to passing lanes.
-  void Narrow(const Frame& f, VexprScratch* s, std::vector<uint32_t>* live,
-              uint64_t* ops) const;
-
-  /// Writes 0/1 per lane without narrowing. Only valid when pure().
-  void Eval01(const Frame& f, VexprScratch* s, double* out,
-              uint64_t* ops) const;
-};
-
-struct AggNode {
-  AggKind kind = AggKind::kCount;
-  int list_slot = -1;
-  int iter_slot = -1;
-  bool has_filter = false;
-  CompiledPredicate filter;
-  bool has_value = false;
-  CompiledScalar value;
-
-  void Eval(const Frame& f, VexprScratch* s, double* out,
-            uint64_t* ops) const;
-};
-
 /// A combination search in stage position: enumerates the deduplicated
 /// Cartesian product per event, reduces to the best / first passing
 /// combination, binds winners, and narrows the event selection.
@@ -201,11 +151,12 @@ struct ComboSearch {
   std::vector<ComboLoop> loops;
   bool best = false;  // strict-minimum argmin vs existence
   bool has_filter = false;
-  CompiledScalar filter;  // pure by construction
-  CompiledScalar key;     // pure; best only
+  CompiledScalar filter;
+  CompiledScalar key;  // best only
 };
 
-/// One step of a stage's top-level conjunction.
+/// One step of a stage's top-level conjunction: a pure conjunct, a
+/// batched search, or (anything impure) the per-event tree walk.
 struct StageUnit {
   enum class Kind { kConjunct, kCombo, kInterp };
   Kind kind = Kind::kConjunct;
@@ -218,40 +169,15 @@ struct CompiledStage {
   std::vector<StageUnit> units;
 };
 
+/// A fill: a pure per-event scalar runs compiled; per-element,
+/// per-combination and impure fills walk the tree per event.
 struct CompiledFill {
-  enum class Kind { kScalar, kElement, kCombo, kInterp };
-  Kind kind = Kind::kScalar;
-  CompiledScalar scalar;  // kScalar
-  int list_slot = -1;     // kElement
-  int iter_slot = -1;
-  bool has_filter = false;
-  CompiledPredicate filter;  // kElement / kCombo
-  CompiledScalar value;
-  std::vector<ComboLoop> loops;             // kCombo
-  const CompiledQuerySpec::Fill* src = nullptr;  // kInterp
+  bool compiled = false;
+  CompiledScalar scalar;
+  const FillExpr* src = nullptr;
 };
 
 // ---- Frame helpers ---------------------------------------------------------
-
-/// Gathers `f` at `idx[0..m)` into scratch-backed buffers. The caller's
-/// scratch scope owns the result's storage.
-Frame GatherFrame(const Frame& f, const uint32_t* idx, int m,
-                  VexprScratch* s) {
-  Frame g;
-  g.bindings = f.bindings;
-  g.n = m;
-  std::vector<uint32_t>* ev = s->AcquireU32();
-  ev->resize(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) (*ev)[i] = f.event[idx[i]];
-  g.event = ev->data();
-  for (int k = 0; k < kMaxIterators; ++k) {
-    std::vector<uint32_t>* it = s->AcquireU32();
-    it->resize(static_cast<size_t>(m));
-    for (int i = 0; i < m; ++i) (*it)[i] = f.iter[k][idx[i]];
-    g.iter[k] = it->data();
-  }
-  return g;
-}
 
 /// Builds the event-level frame for the current selection: one lane per
 /// selected row, iterators gathered from the per-row binding columns.
@@ -392,26 +318,26 @@ void CompiledScalar::BindCartesian(const Frame& f, VexprScratch* s,
   }
 }
 
-void CompiledScalar::Eval(const Frame& f, VexprScratch* s, double* out,
-                          uint64_t* ops) const {
+void CompiledScalar::Eval(const Frame& f, VexprScratch* s,
+                          double* out) const {
   VexprScratch::Scope scope(s);
   std::vector<VColumn>* cols = s->AcquireCols();
   cols->resize(slots.size());
-  Bind(f, s, cols, ops);
+  Bind(f, s, cols);
   program.Run(cols->data(), f.n, &s->vm, out);
 }
 
 int CompiledScalar::Gate(const Frame& f, VexprScratch* s, bool negate,
-                         uint32_t* sel_out, uint64_t* ops) const {
+                         uint32_t* sel_out) const {
   VexprScratch::Scope scope(s);
   std::vector<VColumn>* cols = s->AcquireCols();
   cols->resize(slots.size());
-  Bind(f, s, cols, ops);
+  Bind(f, s, cols);
   return program.RunGate(cols->data(), f.n, &s->vm, negate, sel_out);
 }
 
 void CompiledScalar::Bind(const Frame& f, VexprScratch* s,
-                          std::vector<VColumn>* cols, uint64_t* ops) const {
+                          std::vector<VColumn>* cols) const {
   BindCartesian(f, s, cols);
   for (size_t i = 0; i < slots.size(); ++i) {
     const SlotDesc& d = slots[i];
@@ -457,30 +383,6 @@ void CompiledScalar::Bind(const Frame& f, VexprScratch* s,
         c.data = buf->data();
         break;
       }
-      case SlotDesc::Kind::kProduced: {
-        std::vector<double>* buf = s->AcquireF64();
-        buf->resize(static_cast<size_t>(f.n));
-        const Producer& p = producers[static_cast<size_t>(d.producer)];
-        if (p.agg != nullptr) {
-          p.agg->Eval(f, s, buf->data(), ops);
-        } else {
-          // Per-lane interpreter walk: exact semantics (short-circuit, ops
-          // side effects) for the one subtree the VM cannot express.
-          for (int j = 0; j < f.n; ++j) {
-            EvalContext ctx;
-            ctx.bindings = f.bindings;
-            ctx.row = f.event[j];
-            for (int k = 0; k < kMaxIterators; ++k) {
-              ctx.iter_index[k] = f.iter[k][j];
-            }
-            (*buf)[j] = p.interp->Eval(&ctx);
-            *ops += ctx.ops;
-          }
-        }
-        c.type = TypeId::kFloat64;
-        c.data = buf->data();
-        break;
-      }
       case SlotDesc::Kind::kCartesian:
         break;  // bound by BindCartesian above
     }
@@ -488,176 +390,13 @@ void CompiledScalar::Bind(const Frame& f, VexprScratch* s,
   }
 }
 
-void CompiledPredicate::Narrow(const Frame& f, VexprScratch* s,
-                               std::vector<uint32_t>* live,
-                               uint64_t* ops) const {
-  for (const Conjunct& c : conjuncts) {
-    if (live->empty()) return;
-    VexprScratch::Scope scope(s);
-    const int m = static_cast<int>(live->size());
-    // Live lanes are an ascending subset of [0, f.n), so a full-size set
-    // is the identity and the frame can be used as-is.
-    const Frame g = m == f.n ? f : GatherFrame(f, live->data(), m, s);
-    // Fused gate+fill: the gate emits passing positions within the live
-    // set directly (ascending), so the narrow is an in-place remap.
-    std::vector<uint32_t>* gate = s->AcquireU32();
-    gate->resize(static_cast<size_t>(m));
-    const int kept = c.scalar.Gate(g, s, c.negate, gate->data(), ops);
-    for (int i = 0; i < kept; ++i) (*live)[i] = (*live)[(*gate)[i]];
-    live->resize(static_cast<size_t>(kept));
-  }
-}
-
-void CompiledPredicate::Eval01(const Frame& f, VexprScratch* s, double* out,
-                               uint64_t* ops) const {
-  VexprScratch::Scope scope(s);
-  std::vector<double>* vals = s->AcquireF64();
-  vals->resize(static_cast<size_t>(f.n));
-  for (int i = 0; i < f.n; ++i) out[i] = 1.0;
-  for (const Conjunct& c : conjuncts) {
-    c.scalar.Eval(f, s, vals->data(), ops);
-    for (int i = 0; i < f.n; ++i) {
-      const bool pass = ((*vals)[i] != 0.0) != c.negate;
-      if (!pass) out[i] = 0.0;
-    }
-  }
-}
-
-void AggNode::Eval(const Frame& f, VexprScratch* s, double* out,
-                   uint64_t* ops) const {
-  VexprScratch::Scope scope(s);
-  const ListBinding& list = f.bindings->list(list_slot);
-
-  // Child frame: one lane per (parent lane, list element), elements in
-  // ascending order within each parent lane — the interpreter's loop order.
-  std::vector<uint32_t>* cev = s->AcquireU32();
-  std::vector<uint32_t>* seg = s->AcquireU32();
-  std::vector<uint32_t>* cit[kMaxIterators];
-  for (int k = 0; k < kMaxIterators; ++k) cit[k] = s->AcquireU32();
-  seg->reserve(static_cast<size_t>(f.n) + 1);
-  for (int L = 0; L < f.n; ++L) {
-    seg->push_back(static_cast<uint32_t>(cev->size()));
-    const uint32_t e = f.event[L];
-    const uint32_t begin = list.begin(e);
-    const uint32_t end = list.end(e);
-    for (uint32_t j = begin; j < end; ++j) {
-      cev->push_back(e);
-      for (int k = 0; k < kMaxIterators; ++k) {
-        cit[k]->push_back(k == iter_slot ? j : f.iter[k][L]);
-      }
-    }
-  }
-  seg->push_back(static_cast<uint32_t>(cev->size()));
-  const int cn = static_cast<int>(cev->size());
-  Frame cf;
-  cf.bindings = f.bindings;
-  cf.n = cn;
-  cf.event = cev->data();
-  for (int k = 0; k < kMaxIterators; ++k) cf.iter[k] = cit[k]->data();
-
-  if (kind == AggKind::kAny) {
-    // The interpreter counts one op per element visited and stops at the
-    // first element whose filter passes and value is nonzero. Filter and
-    // value are pure here (enforced at compile time), so batch-evaluating
-    // them over all elements is unobservable; only the visit count must
-    // respect the early exit.
-    double* fv = nullptr;
-    double* vv = nullptr;
-    if (has_filter) {
-      std::vector<double>* fbuf = s->AcquireF64();
-      fbuf->resize(static_cast<size_t>(cn));
-      filter.Eval01(cf, s, fbuf->data(), ops);
-      fv = fbuf->data();
-    }
-    if (has_value) {
-      std::vector<double>* vbuf = s->AcquireF64();
-      vbuf->resize(static_cast<size_t>(cn));
-      value.Eval(cf, s, vbuf->data(), ops);
-      vv = vbuf->data();
-    }
-    for (int L = 0; L < f.n; ++L) {
-      const uint32_t begin = (*seg)[static_cast<size_t>(L)];
-      const uint32_t end = (*seg)[static_cast<size_t>(L) + 1];
-      bool found = false;
-      uint64_t visited = 0;
-      for (uint32_t j = begin; j < end; ++j) {
-        ++visited;
-        if (fv != nullptr && fv[j] == 0.0) continue;
-        const double v = vv != nullptr ? vv[j] : 1.0;
-        if (v != 0.0) {
-          found = true;
-          break;
-        }
-      }
-      out[L] = found ? 1.0 : 0.0;
-      *ops += visited;
-    }
-    return;
-  }
-
-  // Count / sum / min / max visit every element.
-  *ops += static_cast<uint64_t>(cn);
-  std::vector<uint32_t>* live = s->AcquireU32();
-  live->resize(static_cast<size_t>(cn));
-  for (int j = 0; j < cn; ++j) (*live)[static_cast<size_t>(j)] =
-      static_cast<uint32_t>(j);
-  if (has_filter) filter.Narrow(cf, s, live, ops);
-  const int m = static_cast<int>(live->size());
-  double* vv = nullptr;
-  if (has_value) {
-    const Frame vf = m == cn ? cf : GatherFrame(cf, live->data(), m, s);
-    std::vector<double>* vbuf = s->AcquireF64();
-    vbuf->resize(static_cast<size_t>(m));
-    value.Eval(vf, s, vbuf->data(), ops);
-    vv = vbuf->data();
-  }
-  double init = 0.0;
-  if (kind == AggKind::kMin) init = std::numeric_limits<double>::infinity();
-  if (kind == AggKind::kMax) init = -std::numeric_limits<double>::infinity();
-  for (int L = 0; L < f.n; ++L) out[L] = init;
-  // Passing lanes are ascending, so walking them with a cursor over the
-  // segment table reduces each parent lane in interpreter element order.
-  size_t L = 0;
-  for (int i = 0; i < m; ++i) {
-    const uint32_t j = (*live)[static_cast<size_t>(i)];
-    while ((*seg)[L + 1] <= j) ++L;
-    const double v = vv != nullptr ? vv[i] : 1.0;
-    switch (kind) {
-      case AggKind::kCount:
-        out[L] += 1.0;
-        break;
-      case AggKind::kSum:
-        out[L] += v;
-        break;
-      case AggKind::kMin:
-        out[L] = std::min(out[L], v);
-        break;
-      case AggKind::kMax:
-        out[L] = std::max(out[L], v);
-        break;
-      case AggKind::kAny:
-        break;  // handled above
-    }
-  }
-}
-
 // ---- Lowering --------------------------------------------------------------
 
-CompiledScalar LowerScalar(const Expr* e);
-CompiledPredicate LowerPredicate(const Expr* e);
-
+/// Lowers one pure tree; callers check IsPure first.
 class ScalarLowerer {
  public:
   CompiledScalar Lower(const Expr* root) {
     const int reg = LowerNode(root);
-    cs_.program = b_.Finish(reg);
-    return std::move(cs_);
-  }
-
-  /// Lowers the whole tree as one per-lane interpreter producer — used
-  /// when batching any part would change observable binding semantics.
-  CompiledScalar LowerAsInterp(const Expr* root) {
-    const int reg = InterpLoad(root);
     cs_.program = b_.Finish(reg);
     return std::move(cs_);
   }
@@ -678,22 +417,6 @@ class ScalarLowerer {
     cs_.slots.push_back(d);
     leaf_slots_.emplace(key, slot);
     return b_.Load(slot);
-  }
-
-  int ProducerLoad(Producer p) {
-    SlotDesc d;
-    d.kind = SlotDesc::Kind::kProduced;
-    d.producer = static_cast<int>(cs_.producers.size());
-    cs_.producers.push_back(std::move(p));
-    const int slot = static_cast<int>(cs_.slots.size());
-    cs_.slots.push_back(d);
-    return b_.Load(slot);
-  }
-
-  int InterpLoad(const Expr* e) {
-    Producer p;
-    p.interp = e;
-    return ProducerLoad(std::move(p));
   }
 
   /// Lowers InvMass2/InvMass3/SumPt3 calls whose arguments are per-particle
@@ -809,12 +532,6 @@ class ScalarLowerer {
         return LeafLoad(d);
       }
       case ExprShape::Kind::kBin: {
-        if ((s.bin_op == BinOp::kAnd || s.bin_op == BinOp::kOr) &&
-            (!IsPure(s.operands[0]) || !IsPure(s.operands[1]))) {
-          // Eager evaluation would run the impure side on lanes the
-          // interpreter short-circuits past, skewing the ops counter.
-          return InterpLoad(e);
-        }
         const int l = LowerNode(s.operands[0]);
         const int r = LowerNode(s.operands[1]);
         return b_.Op(VOpFor(s.bin_op), {l, r});
@@ -827,36 +544,10 @@ class ScalarLowerer {
         for (const Expr* arg : s.operands) regs.push_back(LowerNode(arg));
         return b_.Op(VOpFor(s.fn), regs);
       }
-      case ExprShape::Kind::kAgg: {
-        auto node = std::make_unique<AggNode>();
-        node->kind = s.agg_kind;
-        node->list_slot = s.list_slot;
-        node->iter_slot = s.iter_slot;
-        if (s.filter != nullptr) {
-          node->has_filter = true;
-          node->filter = LowerPredicate(s.filter);
-        }
-        if (s.value != nullptr) {
-          node->has_value = true;
-          node->value = LowerScalar(s.value);
-        }
-        if (s.agg_kind == AggKind::kAny &&
-            ((node->has_filter && !node->filter.pure()) ||
-             (node->has_value && !node->value.pure()))) {
-          // kAny's early exit makes the inner ops count data-dependent;
-          // only pure bodies can be batched without observing it.
-          return InterpLoad(e);
-        }
-        Producer p;
-        p.agg = std::move(node);
-        return ProducerLoad(std::move(p));
-      }
+      case ExprShape::Kind::kAgg:
       case ExprShape::Kind::kBestCombination:
       case ExprShape::Kind::kAnyCombination:
-        // In value position the bindings a search establishes must be
-        // visible to the enclosing evaluation only — the per-lane walk
-        // keeps that containment exact.
-        return InterpLoad(e);
+        break;  // impure: never lowered (see IsPure)
     }
     return b_.Const(0.0);
   }
@@ -869,8 +560,7 @@ CompiledScalar LowerScalar(const Expr* e) {
 
 Conjunct LowerConjunct(const Expr* e) {
   Conjunct c;
-  // Unwrap Not(...) wrappers into the negate flag so the atom inside can
-  // still narrow lanes (Q7's veto: Not(any lepton close by)).
+  // Unwrap Not(...) wrappers into the negate flag.
   while (true) {
     const ExprShape s = e->Shape();
     if (s.kind == ExprShape::Kind::kCall && s.fn == Fn::kNot) {
@@ -884,26 +574,14 @@ Conjunct LowerConjunct(const Expr* e) {
   return c;
 }
 
-CompiledPredicate LowerPredicate(const Expr* e) {
-  CompiledPredicate p;
-  std::vector<const Expr*> parts;
-  SplitConjuncts(e, &parts);
-  p.conjuncts.reserve(parts.size());
-  for (const Expr* part : parts) p.conjuncts.push_back(LowerConjunct(part));
-  return p;
-}
-
 CompiledStage LowerStage(const Expr* root) {
   CompiledStage stage;
   std::vector<const Expr*> parts;
   SplitConjuncts(root, &parts);
   for (const Expr* part : parts) {
     StageUnit unit;
-    const ExprShape s = part->Shape();
-    const bool is_search = s.kind == ExprShape::Kind::kBestCombination ||
-                           s.kind == ExprShape::Kind::kAnyCombination;
-    if (is_search && (s.filter == nullptr || IsPure(s.filter)) &&
-        (s.value == nullptr || IsPure(s.value))) {
+    if (IsBatchedSearch(part)) {
+      const ExprShape s = part->Shape();
       unit.kind = StageUnit::Kind::kCombo;
       unit.combo.loops = s.loops;
       unit.combo.best = s.kind == ExprShape::Kind::kBestCombination;
@@ -912,54 +590,29 @@ CompiledStage LowerStage(const Expr* root) {
         unit.combo.filter = LowerScalar(s.filter);
       }
       if (s.value != nullptr) unit.combo.key = LowerScalar(s.value);
-    } else if (ContainsCombination(part)) {
-      // A search not at conjunct root (or with impure innards) must bind
-      // iterators through the per-event walk to keep them visible to
-      // later stages and fills.
-      unit.kind = StageUnit::Kind::kInterp;
-      unit.interp = part;
-    } else {
+    } else if (IsPure(part)) {
       unit.kind = StageUnit::Kind::kConjunct;
       unit.conjunct = LowerConjunct(part);
+    } else {
+      // Aggregates and searches with impure innards walk per event; a
+      // search's winners persist into the binding columns for later
+      // stages and fills.
+      unit.kind = StageUnit::Kind::kInterp;
+      unit.interp = part;
     }
     stage.units.push_back(std::move(unit));
   }
   return stage;
 }
 
-CompiledFill LowerFill(const CompiledQuerySpec::Fill& fill) {
+CompiledFill LowerFill(const FillExpr& fill) {
   CompiledFill out;
   out.src = &fill;
-  const bool combos_inside = ContainsCombination(fill.scalar.get()) ||
-                             ContainsCombination(fill.filter.get()) ||
-                             ContainsCombination(fill.value.get());
-  if (combos_inside) {
-    out.kind = CompiledFill::Kind::kInterp;
-    return out;
+  if (!fill.per_element && !fill.per_combination &&
+      IsPure(fill.scalar.get())) {
+    out.compiled = true;
+    out.scalar = LowerScalar(fill.scalar.get());
   }
-  if (fill.per_combination) {
-    out.kind = CompiledFill::Kind::kCombo;
-    out.loops = fill.loops;
-    if (fill.filter != nullptr) {
-      out.has_filter = true;
-      out.filter = LowerPredicate(fill.filter.get());
-    }
-    out.value = LowerScalar(fill.value.get());
-    return out;
-  }
-  if (fill.per_element) {
-    out.kind = CompiledFill::Kind::kElement;
-    out.list_slot = fill.list_slot;
-    out.iter_slot = fill.iter_slot;
-    if (fill.filter != nullptr) {
-      out.has_filter = true;
-      out.filter = LowerPredicate(fill.filter.get());
-    }
-    out.value = LowerScalar(fill.value.get());
-    return out;
-  }
-  out.kind = CompiledFill::Kind::kScalar;
-  out.scalar = LowerScalar(fill.scalar.get());
   return out;
 }
 
@@ -1045,13 +698,13 @@ void RunComboUnit(const ComboSearch& cs, const BatchBindings& bindings,
     if (cs.has_filter) {
       std::vector<double>* fbuf = s->AcquireF64();
       fbuf->resize(static_cast<size_t>(cn));
-      cs.filter.Eval(f, s, fbuf->data(), ops);
+      cs.filter.Eval(f, s, fbuf->data());
       fv = fbuf->data();
     }
     if (cs.best) {
       std::vector<double>* kbuf = s->AcquireF64();
       kbuf->resize(static_cast<size_t>(cn));
-      cs.key.Eval(f, s, kbuf->data(), ops);
+      cs.key.Eval(f, s, kbuf->data());
       kv = kbuf->data();
     }
     for (size_t t = 0; t < ev_rows->size(); ++t) {
@@ -1106,14 +759,13 @@ void RunComboUnit(const ComboSearch& cs, const BatchBindings& bindings,
 
 void RunConjunctUnit(const Conjunct& c, const BatchBindings& bindings,
                      std::vector<uint32_t>* sel,
-                     uint32_t* const bc[kMaxIterators], VexprScratch* s,
-                     uint64_t* ops) {
+                     uint32_t* const bc[kMaxIterators], VexprScratch* s) {
   if (sel->empty()) return;
   VexprScratch::Scope scope(s);
   const Frame f = MakeEventFrame(bindings, *sel, bc, s);
   std::vector<double>* vals = s->AcquireF64();
   vals->resize(sel->size());
-  c.scalar.Eval(f, s, vals->data(), ops);
+  c.scalar.Eval(f, s, vals->data());
   size_t w = 0;
   for (size_t i = 0; i < sel->size(); ++i) {
     const bool pass = ((*vals)[i] != 0.0) != c.negate;
@@ -1145,102 +797,17 @@ void RunScalarFill(const CompiledScalar& scalar,
                    const BatchBindings& bindings,
                    const std::vector<uint32_t>& sel,
                    uint32_t* const bc[kMaxIterators], VexprScratch* s,
-                   Histogram1D* hist, uint64_t* ops) {
+                   Histogram1D* hist) {
   if (sel.empty()) return;
   VexprScratch::Scope scope(s);
   const Frame f = MakeEventFrame(bindings, sel, bc, s);
   std::vector<double>* vals = s->AcquireF64();
   vals->resize(sel.size());
-  scalar.Eval(f, s, vals->data(), ops);
+  scalar.Eval(f, s, vals->data());
   for (size_t i = 0; i < sel.size(); ++i) hist->Fill((*vals)[i]);
 }
 
-void RunElementFill(const CompiledFill& fill, const BatchBindings& bindings,
-                    const std::vector<uint32_t>& sel,
-                    uint32_t* const bc[kMaxIterators], VexprScratch* s,
-                    Histogram1D* hist, uint64_t* ops) {
-  if (sel.empty()) return;
-  VexprScratch::Scope scope(s);
-  const Frame f = MakeEventFrame(bindings, sel, bc, s);
-  const ListBinding& list = bindings.list(fill.list_slot);
-  std::vector<uint32_t>* cev = s->AcquireU32();
-  std::vector<uint32_t>* cit[kMaxIterators];
-  for (int k = 0; k < kMaxIterators; ++k) cit[k] = s->AcquireU32();
-  for (int L = 0; L < f.n; ++L) {
-    const uint32_t e = f.event[L];
-    for (uint32_t j = list.begin(e); j < list.end(e); ++j) {
-      cev->push_back(e);
-      for (int k = 0; k < kMaxIterators; ++k) {
-        cit[k]->push_back(k == fill.iter_slot ? j : f.iter[k][L]);
-      }
-    }
-  }
-  const int cn = static_cast<int>(cev->size());
-  *ops += static_cast<uint64_t>(cn);  // one visit per element, like the
-                                      // interpreter's per-element loop
-  Frame cf;
-  cf.bindings = &bindings;
-  cf.n = cn;
-  cf.event = cev->data();
-  for (int k = 0; k < kMaxIterators; ++k) cf.iter[k] = cit[k]->data();
-  std::vector<uint32_t>* live = s->AcquireU32();
-  live->resize(static_cast<size_t>(cn));
-  for (int j = 0; j < cn; ++j) (*live)[static_cast<size_t>(j)] =
-      static_cast<uint32_t>(j);
-  if (fill.has_filter) fill.filter.Narrow(cf, s, live, ops);
-  const int m = static_cast<int>(live->size());
-  if (m == 0) return;
-  const Frame vf = m == cn ? cf : GatherFrame(cf, live->data(), m, s);
-  std::vector<double>* vals = s->AcquireF64();
-  vals->resize(static_cast<size_t>(m));
-  fill.value.Eval(vf, s, vals->data(), ops);
-  for (int i = 0; i < m; ++i) hist->Fill((*vals)[i]);
-}
-
-void RunComboFill(const CompiledFill& fill, const BatchBindings& bindings,
-                  const std::vector<uint32_t>& sel,
-                  uint32_t* const bc[kMaxIterators], VexprScratch* s,
-                  Histogram1D* hist, uint64_t* ops) {
-  VexprScratch::Scope scope(s);
-  std::vector<uint32_t>* ev = s->AcquireU32();
-  std::vector<uint32_t>* cit[kMaxIterators];
-  for (int k = 0; k < kMaxIterators; ++k) cit[k] = s->AcquireU32();
-
-  const auto flush = [&]() {
-    const int cn = static_cast<int>(ev->size());
-    if (cn == 0) return;
-    VexprScratch::Scope flush_scope(s);
-    Frame f;
-    f.bindings = &bindings;
-    f.n = cn;
-    f.event = ev->data();
-    for (int k = 0; k < kMaxIterators; ++k) f.iter[k] = cit[k]->data();
-    std::vector<uint32_t>* live = s->AcquireU32();
-    live->resize(static_cast<size_t>(cn));
-    for (int j = 0; j < cn; ++j) (*live)[static_cast<size_t>(j)] =
-        static_cast<uint32_t>(j);
-    if (fill.has_filter) fill.filter.Narrow(f, s, live, ops);
-    const int m = static_cast<int>(live->size());
-    if (m > 0) {
-      const Frame vf = m == cn ? f : GatherFrame(f, live->data(), m, s);
-      std::vector<double>* vals = s->AcquireF64();
-      vals->resize(static_cast<size_t>(m));
-      fill.value.Eval(vf, s, vals->data(), ops);
-      for (int i = 0; i < m; ++i) hist->Fill((*vals)[i]);
-    }
-    ev->clear();
-    for (int k = 0; k < kMaxIterators; ++k) cit[k]->clear();
-  };
-
-  for (const uint32_t row : sel) {
-    *ops += EnumerateCombos(fill.loops, bindings, row, bc, ev, cit);
-    if (static_cast<int>(ev->size()) >= kComboChunkLanes) flush();
-  }
-  flush();
-}
-
-void RunInterpFill(const CompiledQuerySpec::Fill& fill,
-                   const BatchBindings& bindings,
+void RunInterpFill(const FillExpr& fill, const BatchBindings& bindings,
                    const std::vector<uint32_t>& sel,
                    uint32_t* const bc[kMaxIterators], Histogram1D* hist,
                    uint64_t* ops) {
@@ -1249,41 +816,7 @@ void RunInterpFill(const CompiledQuerySpec::Fill& fill,
     ctx.bindings = &bindings;
     ctx.row = row;
     for (int k = 0; k < kMaxIterators; ++k) ctx.iter_index[k] = bc[k][row];
-    if (fill.per_combination) {
-      const auto recurse = [&](const auto& self, size_t depth) -> void {
-        if (depth == fill.loops.size()) {
-          ++ctx.ops;
-          if (fill.filter != nullptr && !fill.filter->EvalBool(&ctx)) return;
-          hist->Fill(fill.value->Eval(&ctx));
-          return;
-        }
-        const ComboLoop& loop = fill.loops[depth];
-        const ListBinding& list = bindings.list(loop.list_slot);
-        uint32_t begin = list.begin(ctx.row);
-        const uint32_t end = list.end(ctx.row);
-        for (size_t d = 0; d < depth; ++d) {
-          if (fill.loops[d].list_slot == loop.list_slot) {
-            begin = std::max(begin,
-                             ctx.iter_index[fill.loops[d].iter_slot] + 1);
-          }
-        }
-        for (uint32_t i = begin; i < end; ++i) {
-          ctx.iter_index[loop.iter_slot] = i;
-          self(self, depth + 1);
-        }
-      };
-      recurse(recurse, 0);
-    } else if (fill.per_element) {
-      const ListBinding& list = bindings.list(fill.list_slot);
-      for (uint32_t i = list.begin(row); i < list.end(row); ++i) {
-        ctx.iter_index[fill.iter_slot] = i;
-        ++ctx.ops;
-        if (fill.filter != nullptr && !fill.filter->EvalBool(&ctx)) continue;
-        hist->Fill(fill.value->Eval(&ctx));
-      }
-    } else {
-      hist->Fill(fill.scalar->Eval(&ctx));
-    }
+    FillEvent(fill, &ctx, hist);
     *ops += ctx.ops;
   }
 }
@@ -1291,6 +824,12 @@ void RunInterpFill(const CompiledQuerySpec::Fill& fill,
 }  // namespace
 
 // ---- CompiledEventQuery ----------------------------------------------------
+
+bool HasBatchedSearch(const std::vector<ExprPtr>& stages) {
+  std::vector<const Expr*> parts;
+  for (const ExprPtr& stage : stages) SplitConjuncts(stage.get(), &parts);
+  return std::any_of(parts.begin(), parts.end(), IsBatchedSearch);
+}
 
 struct CompiledEventQuery::Impl {
   CompiledQuerySpec spec;  // owns the expression trees the units reference
@@ -1312,7 +851,7 @@ Result<std::shared_ptr<const CompiledEventQuery>> CompiledEventQuery::Compile(
     impl.stages.push_back(LowerStage(stage.get()));
   }
   impl.fills.reserve(impl.spec.fills.size());
-  for (const CompiledQuerySpec::Fill& fill : impl.spec.fills) {
+  for (const FillExpr& fill : impl.spec.fills) {
     impl.fills.push_back(LowerFill(fill));
   }
   return std::shared_ptr<const CompiledEventQuery>(std::move(query));
@@ -1349,7 +888,7 @@ Status CompiledEventQuery::ExecuteBatch(const BatchBindings& bindings,
     for (const StageUnit& unit : stage.units) {
       switch (unit.kind) {
         case StageUnit::Kind::kConjunct:
-          RunConjunctUnit(unit.conjunct, bindings, sel, bc, scratch, ops);
+          RunConjunctUnit(unit.conjunct, bindings, sel, bc, scratch);
           break;
         case StageUnit::Kind::kCombo:
           RunComboUnit(unit.combo, bindings, sel, bc, scratch, ops);
@@ -1367,19 +906,10 @@ Status CompiledEventQuery::ExecuteBatch(const BatchBindings& bindings,
   for (size_t fidx = 0; fidx < impl.fills.size(); ++fidx) {
     const CompiledFill& fill = impl.fills[fidx];
     Histogram1D* hist = &(*histograms)[fidx];
-    switch (fill.kind) {
-      case CompiledFill::Kind::kScalar:
-        RunScalarFill(fill.scalar, bindings, *sel, bc, scratch, hist, ops);
-        break;
-      case CompiledFill::Kind::kElement:
-        RunElementFill(fill, bindings, *sel, bc, scratch, hist, ops);
-        break;
-      case CompiledFill::Kind::kCombo:
-        RunComboFill(fill, bindings, *sel, bc, scratch, hist, ops);
-        break;
-      case CompiledFill::Kind::kInterp:
-        RunInterpFill(*fill.src, bindings, *sel, bc, hist, ops);
-        break;
+    if (fill.compiled) {
+      RunScalarFill(fill.scalar, bindings, *sel, bc, scratch, hist);
+    } else {
+      RunInterpFill(*fill.src, bindings, *sel, bc, hist, ops);
     }
   }
   return Status::OK();
@@ -1391,6 +921,7 @@ namespace {
 
 struct KernelImpl {
   ExprPtr root;
+  bool pure = false;  // else every lane walks `root`
   CompiledScalar scalar;
   bool scalar_slots_only = false;  // every input slot is a kScalar leaf
 };
@@ -1420,24 +951,33 @@ Frame KernelFrame(const KernelImpl& impl, const BatchBindings& bindings,
   return f;
 }
 
+/// The impure form: lane i is Expr::Eval of row rows[i] (or i) with a
+/// fresh EvalContext, so a search's winners stay visible to sibling
+/// subtrees exactly as in the interpreter.
+void WalkLanes(const Expr& root, const BatchBindings& bindings,
+               const uint32_t* rows, int64_t n, double* out, uint64_t* ops) {
+  for (int64_t i = 0; i < n; ++i) {
+    EvalContext ctx;
+    ctx.bindings = &bindings;
+    ctx.row = rows != nullptr ? rows[i] : static_cast<uint32_t>(i);
+    out[i] = root.Eval(&ctx);
+    if (ops != nullptr) *ops += ctx.ops;
+  }
+}
+
 }  // namespace
 
 Result<CompiledExprKernel> CompiledExprKernel::Compile(ExprPtr expr) {
   if (expr == nullptr) return Status::Invalid("null expression");
   auto impl = std::make_shared<KernelImpl>();
   impl->root = std::move(expr);
-  if (ContainsCombination(impl->root.get())) {
-    // A combination search leaves its winners bound for *sibling* subtrees
-    // (the interpreter's contract); per-slot producers cannot see each
-    // other's bindings, so the whole tree walks per lane instead.
-    ScalarLowerer lowerer;
-    impl->scalar = lowerer.LowerAsInterp(impl->root.get());
-  } else {
+  impl->pure = IsPure(impl->root.get());
+  if (impl->pure) {
     impl->scalar = LowerScalar(impl->root.get());
+    impl->scalar_slots_only = std::all_of(
+        impl->scalar.slots.begin(), impl->scalar.slots.end(),
+        [](const SlotDesc& d) { return d.kind == SlotDesc::Kind::kScalar; });
   }
-  impl->scalar_slots_only = std::all_of(
-      impl->scalar.slots.begin(), impl->scalar.slots.end(),
-      [](const SlotDesc& d) { return d.kind == SlotDesc::Kind::kScalar; });
   CompiledExprKernel kernel;
   kernel.impl_ = std::shared_ptr<const void>(impl, impl.get());
   return kernel;
@@ -1448,11 +988,13 @@ Status CompiledExprKernel::Eval(const BatchBindings& bindings,
                                 VexprScratch* scratch, double* out,
                                 uint64_t* ops) const {
   const KernelImpl& impl = *static_cast<const KernelImpl*>(impl_.get());
+  if (!impl.pure) {
+    WalkLanes(*impl.root, bindings, rows, n, out, ops);
+    return Status::OK();
+  }
   VexprScratch::Scope scope(scratch);
-  const Frame f = KernelFrame(impl, bindings, rows, n, scratch);
-  uint64_t local_ops = 0;
-  impl.scalar.Eval(f, scratch, out, &local_ops);
-  if (ops != nullptr) *ops += local_ops;
+  impl.scalar.Eval(KernelFrame(impl, bindings, rows, n, scratch), scratch,
+                   out);
   return Status::OK();
 }
 
@@ -1462,12 +1004,20 @@ Result<int> CompiledExprKernel::Gate(const BatchBindings& bindings,
                                      uint64_t* ops) const {
   const KernelImpl& impl = *static_cast<const KernelImpl*>(impl_.get());
   VexprScratch::Scope scope(scratch);
-  const Frame f = KernelFrame(impl, bindings, rows, n, scratch);
-  uint64_t local_ops = 0;
-  const int kept =
-      impl.scalar.Gate(f, scratch, /*negate=*/false, sel_out, &local_ops);
-  if (ops != nullptr) *ops += local_ops;
-  return kept;
+  if (!impl.pure) {
+    std::vector<double>* vals = scratch->AcquireF64();
+    vals->resize(static_cast<size_t>(n));
+    WalkLanes(*impl.root, bindings, rows, n, vals->data(), ops);
+    int kept = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      if ((*vals)[static_cast<size_t>(i)] != 0.0) {
+        sel_out[kept++] = static_cast<uint32_t>(i);
+      }
+    }
+    return kept;
+  }
+  return impl.scalar.Gate(KernelFrame(impl, bindings, rows, n, scratch),
+                          scratch, /*negate=*/false, sel_out);
 }
 
 const VProgram& CompiledExprKernel::program() const {

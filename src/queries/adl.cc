@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 
 #include "cache/cache.h"
 #include "obs/metrics.h"
@@ -45,16 +46,26 @@ bool ParseVexprTier(const std::string& name, VexprTier* out) {
   return true;
 }
 
-bool ParsePositiveInt(const std::string& text, int* out) {
-  // At most 9 digits, so the value always fits an int.
-  if (text.empty() || text.size() > 9) return false;
-  int value = 0;
+bool ParsePositiveInt(const std::string& text, int64_t* out) {
+  // At most 18 digits, so the value always fits an int64_t.
+  if (text.empty() || text.size() > 18) return false;
+  int64_t value = 0;
   for (char c : text) {
     if (c < '0' || c > '9') return false;
     value = value * 10 + (c - '0');
   }
   if (value <= 0) return false;
   *out = value;
+  return true;
+}
+
+bool ParsePositiveInt(const std::string& text, int* out) {
+  int64_t value = 0;
+  if (!ParsePositiveInt(text, &value) ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(value);
   return true;
 }
 

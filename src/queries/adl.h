@@ -1,6 +1,7 @@
 #ifndef HEPQUERY_QUERIES_ADL_H_
 #define HEPQUERY_QUERIES_ADL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -70,9 +71,13 @@ const char* VexprTierName(VexprTier tier);
 /// Parses a tier name; returns false (leaving `out` untouched) on any
 /// other string.
 bool ParseVexprTier(const std::string& name, VexprTier* out);
-/// Parses a positive decimal count (a `--threads=` / `--procs=` value);
-/// returns false (leaving `out` untouched) on an empty, non-numeric,
-/// non-positive, or out-of-range string.
+/// Parses a positive decimal count of at most 18 digits (an event count,
+/// a `--cache=` byte budget, a shard or row-group size); returns false
+/// (leaving `out` untouched) on an empty, non-numeric, non-positive, or
+/// longer string. The CLI tools parse their counts through it.
+bool ParsePositiveInt(const std::string& text, int64_t* out);
+/// The same for an int-sized count (a query id, `--threads=`,
+/// `--procs=`, `--repeat=`): values above INT_MAX are rejected too.
 bool ParsePositiveInt(const std::string& text, int* out);
 
 struct RunOptions {

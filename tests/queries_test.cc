@@ -54,7 +54,23 @@ TEST(ParsePositiveIntTest, AcceptsPositiveDecimalsOnly) {
   EXPECT_TRUE(ParsePositiveInt("16", &out));
   EXPECT_EQ(out, 16);
   for (const char* bad : {"", "0", "-2", "abc", "3x", " 4", "+4",
-                          "9999999999"}) {
+                          "9999999999", "1x", "-5", "2x", "12k", "1e5"}) {
+    out = 7;
+    EXPECT_FALSE(ParsePositiveInt(bad, &out)) << '"' << bad << '"';
+    EXPECT_EQ(out, 7) << '"' << bad << '"';
+  }
+}
+
+TEST(ParsePositiveIntTest, WideFormTakesEighteenDigits) {
+  int64_t out = 0;
+  EXPECT_TRUE(ParsePositiveInt("100000", &out));
+  EXPECT_EQ(out, 100000);
+  EXPECT_TRUE(ParsePositiveInt("9999999999", &out));
+  EXPECT_EQ(out, int64_t{9999999999});
+  EXPECT_TRUE(ParsePositiveInt("999999999999999999", &out));
+  EXPECT_EQ(out, int64_t{999999999999999999});
+  for (const char* bad : {"", "0", "abc", "-5", "1e5", "12k", "2x", "0x10",
+                          "1000000000000000000"}) {
     out = 7;
     EXPECT_FALSE(ParsePositiveInt(bad, &out)) << '"' << bad << '"';
     EXPECT_EQ(out, 7) << '"' << bad << '"';

@@ -20,6 +20,7 @@
 #include "engine/event_query.h"
 #include "engine/vexpr.h"
 #include "engine/vexpr_fuse.h"
+#include "obs/trace.h"
 #include "queries/adl.h"
 
 namespace hepq::engine {
@@ -527,7 +528,9 @@ TEST(CompiledKernelTest, AdversarialNanInfAgreeAcrossAllTiers) {
                       Lt(Abs(Call(Fn::kDeltaPhi, {ScalarRef(1), Lit(0.4)})),
                          Lit(1.5))));
   trees.push_back(Not(Ge(ScalarRef(0), ScalarRef(0))));
-  // NaN members through the SoA mass kernel (m2 clamp sees NaN).
+  // NaN members through InvMass2 inside an aggregate; aggregates walk
+  // the tree per lane, and AdversarialSearchAgreesAcrossTiers drives the
+  // same NaN members through the compiled SoA mass kernel.
   trees.push_back(
       AggOverList(AggKind::kSum, 0, 1, nullptr,
                   Call(Fn::kInvMass2, std::move(mass_args))));
@@ -557,6 +560,45 @@ TEST(CompiledKernelTest, AdversarialNanInfAgreeAcrossAllTiers) {
       interp_ops += ctx.ops;
     }
     EXPECT_EQ(ops, interp_ops);
+  }
+}
+
+TEST(CompiledKernelTest, AdversarialSearchAgreesAcrossTiers) {
+  // NaN and inf members through the batched combination search and the
+  // decomposed mass kernel of its key and fill: the compiled event query
+  // must pick the same winners and fill the same bits as the tree walk.
+  const RecordBatchPtr batch = AdversarialBatch();
+  EventQueryResult results[2];
+  const ExprExec tiers[2] = {ExprExec::kInterpreted, ExprExec::kSimd};
+  for (int t = 0; t < 2; ++t) {
+    EventQuery query("adversarial_search");
+    const int jets =
+        query.DeclareList("Jet", {"pt", "eta", "phi", "mass", "charge"});
+    std::vector<ExprPtr> pair;
+    for (int it = 0; it < 2; ++it) {
+      for (int m = 0; m < 4; ++m) pair.push_back(IterMember(jets, it, m));
+    }
+    const ExprPtr mass = Call(Fn::kInvMass2, pair);
+    query.AddStage(BestCombination(
+        {{jets, 0}, {jets, 1}},
+        Ne(IterMember(jets, 0, 4), IterMember(jets, 1, 4)),
+        Abs(Sub(mass, Lit(10.0)))));
+    query.AddHistogram({"m", "", 20, 0.0, 100.0}, mass);
+    query.set_expr_exec(tiers[t]);
+    results[t] = query.MakeResult();
+    ASSERT_TRUE(query.ExecuteBatch(*batch, &results[t]).ok());
+  }
+  EXPECT_EQ(results[1].events_selected, results[0].events_selected);
+  EXPECT_EQ(results[1].ops, results[0].ops);
+  const Histogram1D& simd = results[1].histograms[0];
+  const Histogram1D& interp = results[0].histograms[0];
+  EXPECT_GT(interp.num_entries(), 0u);
+  EXPECT_EQ(simd.num_entries(), interp.num_entries());
+  EXPECT_EQ(Bits(simd.underflow()), Bits(interp.underflow()));
+  EXPECT_EQ(Bits(simd.overflow()), Bits(interp.overflow()));
+  for (int i = 0; i < interp.spec().num_bins; ++i) {
+    EXPECT_EQ(Bits(simd.BinContent(i)), Bits(interp.BinContent(i)))
+        << "bin " << i;
   }
 }
 
@@ -614,7 +656,8 @@ TEST(BindingsTest, NonPrimitiveLeafRejectedAtBindWithTypeName) {
 
 // ---------------------------------------------------------------------------
 // Golden agreement: 8 queries x both plan shapes x both execution tiers
-// x {1, 4} threads, all bit-identical.
+// x {1, 4} threads, all bit-identical; the traced BigQuery-shape simd run
+// also pins which plans compile.
 // ---------------------------------------------------------------------------
 
 const std::string& GoldenDataset() {
@@ -658,12 +701,31 @@ TEST_P(CompiledInterpretedGolden, BitIdenticalAcrossExecModeAndThreads) {
         queries::RunOptions options;
         options.vexpr_tier = tier;
         options.num_threads = threads;
+        // The tier rule: under simd, only BigQuery-shape plans with a
+        // batched combination search (Q5, Q6, Q8) retire batch-kernel
+        // VOps; every other plan walks the tree.
+        const bool traced = engine == EngineKind::kBigQueryShape &&
+                            tier == VexprTier::kSimd && threads == 1;
+        obs::TraceSession session;
+        if (traced) session.Start();
         const auto run =
             queries::RunAdlQuery(engine, q, GoldenDataset(), options);
+        session.Stop();
         ASSERT_TRUE(run.ok()) << run.status().ToString();
         SCOPED_TRACE(std::string(queries::EngineKindName(engine)) + " " +
                      queries::VexprTierName(tier) + " threads " +
                      std::to_string(threads));
+        if (traced) {
+          uint64_t vops_retired = 0;
+          for (const obs::CounterRecord& c : session.MergedCounters()) {
+            if (std::string(c.name) == "vops_retired") vops_retired += c.count;
+          }
+          if (q == 5 || q == 6 || q == 8) {
+            EXPECT_GT(vops_retired, 0u);
+          } else {
+            EXPECT_EQ(vops_retired, 0u);
+          }
+        }
         EXPECT_EQ(run->events_processed, reference->events_processed);
         EXPECT_EQ(run->ops, reference->ops);  // Table 2 counter fidelity
         ASSERT_EQ(run->histograms.size(), reference->histograms.size());

@@ -9,26 +9,31 @@
 // of shards, in any order, or growing N later reproduces existing shards
 // bit for bit, so a 54M-event paper-scale dataset can be built
 // incrementally or in parallel across machines. Existing shard files are
-// skipped.
+// skipped. N, M and R must be positive integers (exit 2 otherwise).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "datagen/dataset.h"
+#include "queries/adl.h"
 
 int main(int argc, char** argv) {
   hepq::ShardedDatasetSpec spec;
   std::string dir = hepq::DefaultDataDir();
   bool have_shards = false;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      spec.num_shards = std::atoi(argv[i] + 9);
+      ok = hepq::queries::ParsePositiveInt(argv[i] + 9, &spec.num_shards);
       have_shards = true;
     } else if (std::strncmp(argv[i], "--events-per-shard=", 19) == 0) {
-      spec.events_per_shard = std::atoll(argv[i] + 19);
+      ok = hepq::queries::ParsePositiveInt(argv[i] + 19,
+                                           &spec.events_per_shard);
     } else if (std::strncmp(argv[i], "--row-group=", 12) == 0) {
-      spec.row_group_size = std::atoll(argv[i] + 12);
+      ok = hepq::queries::ParsePositiveInt(argv[i] + 12,
+                                           &spec.row_group_size);
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       spec.seed = std::strtoull(argv[i] + 7, nullptr, 10);
     } else if (std::strncmp(argv[i], "--dir=", 6) == 0) {
@@ -40,9 +45,15 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 2;
     }
+    if (!ok) {
+      const std::string arg = argv[i];
+      std::fprintf(stderr, "%s needs a positive integer\n",
+                   arg.substr(0, arg.find('=')).c_str());
+      return 2;
+    }
   }
-  if (!have_shards || spec.num_shards < 1 || spec.events_per_shard < 1) {
-    std::fprintf(stderr, "--shards and --events-per-shard must be >= 1\n");
+  if (!have_shards) {
+    std::fprintf(stderr, "--shards=N is required\n");
     return 2;
   }
   auto path = hepq::EnsureShardedDataset(dir, spec);

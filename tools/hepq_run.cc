@@ -7,12 +7,15 @@
 //                 [--profile[=report.json]] [--trace=trace.json]
 //   engine: rdf (default) | bigquery | presto | doc | all | explain
 //   events: data-set size to generate/reuse (default 20000)
+//   The query id, events, --threads, --procs, --repeat and --cache values
+//   must be positive integers; anything else exits 2 with a message.
 //   --threads=N: scan row groups with N workers of the shared runtime
-//     (results are bit-identical for any N; default 1; N must be a
-//     positive integer)
+//     (results are bit-identical for any N; default 1)
 //   --vexpr-tier=T: expression-execution tier for the bigquery/presto
 //     plan shapes — interpret (tree walk) or simd (compiled fused batch
-//     kernels, the default); histograms are bit-identical across tiers.
+//     kernels, the default; a bigquery plan compiles only when it has a
+//     combination search, Q5/Q6/Q8); histograms are bit-identical across
+//     tiers.
 //   --no-pushdown: disable zone-map predicate pushdown (group/page
 //     pruning); histograms are bit-identical either way
 //   --no-late-mat: disable late materialization (decode every projected
@@ -482,8 +485,8 @@ int main(int argc, char** argv) {
         std::strncmp(argv[i], "--cache=", 8) == 0) {
       hepq::cache::CacheOptions cache_options;
       if (argv[i][7] == '=') {
-        const long long bytes = std::atoll(argv[i] + 8);
-        if (bytes <= 0) {
+        int64_t bytes = 0;
+        if (!hepq::queries::ParsePositiveInt(argv[i] + 8, &bytes)) {
           std::fprintf(stderr, "--cache=BYTES needs a positive byte count\n");
           return 2;
         }
@@ -499,8 +502,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
-      repeat = std::atoi(argv[i] + 9);
-      if (repeat < 1) {
+      if (!hepq::queries::ParsePositiveInt(argv[i] + 9, &repeat)) {
         std::fprintf(stderr, "--repeat needs a positive pass count\n");
         return 2;
       }
@@ -561,18 +563,18 @@ int main(int argc, char** argv) {
   int q = 0;
   std::string engine_name;
   int64_t events = 20000;
-  if (queries_all) {
-    // Suite mode drops the query positional: [engine] [events].
-    engine_name = argc > 1 ? argv[1] : "rdf";
-    if (argc > 2) events = std::atoll(argv[2]);
-  } else {
-    q = std::atoi(argv[1]);
-    if (q < 1 || q > 8) {
-      std::fprintf(stderr, "query id must be 1..8\n");
-      return 2;
-    }
-    engine_name = argc > 2 ? argv[2] : "rdf";
-    if (argc > 3) events = std::atoll(argv[3]);
+  // Suite mode drops the query positional: [engine] [events].
+  const int first = queries_all ? 1 : 2;
+  if (!queries_all && (!hepq::queries::ParsePositiveInt(argv[1], &q) ||
+                       q > hepq::queries::kNumAdlQueries)) {
+    std::fprintf(stderr, "query id must be 1..8\n");
+    return 2;
+  }
+  engine_name = argc > first ? argv[first] : "rdf";
+  if (argc > first + 1 &&
+      !hepq::queries::ParsePositiveInt(argv[first + 1], &events)) {
+    std::fprintf(stderr, "events needs a positive event count\n");
+    return 2;
   }
 
   std::string data;
