@@ -4,13 +4,15 @@
 #include <cmath>
 #include <map>
 
+#include "doc/functions.h"
+
 namespace hepq::doc {
 
-Result<Sequence> DocContext::Lookup(const std::string& name) const {
+const Sequence* DocContext::Lookup(std::string_view name) const {
   for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
-    if (it->first == name) return it->second;
+    if (it->first == name) return &it->second;
   }
-  return Status::KeyError("undefined variable $" + name);
+  return nullptr;
 }
 
 namespace {
@@ -50,7 +52,11 @@ class VarExpr final : public DocExpr {
   explicit VarExpr(std::string name) : name_(std::move(name)) {}
   Result<Sequence> Eval(DocContext* ctx) const override {
     ++ctx->steps;
-    return ctx->Lookup(name_);
+    const Sequence* value = ctx->Lookup(name_);
+    if (value == nullptr) {
+      return Status::KeyError("undefined variable $" + name_);
+    }
+    return *value;
   }
   DocShape Shape() const override {
     DocShape s;
@@ -241,11 +247,15 @@ class BinExpr final : public DocExpr {
 class CallExpr final : public DocExpr {
  public:
   CallExpr(std::string name, std::vector<DocExprPtr> args)
-      : name_(std::move(name)), args_(std::move(args)) {}
+      : name_(std::move(name)),
+        args_(std::move(args)),
+        fn_(LookupDocFunction(name_)) {}
   Result<Sequence> Eval(DocContext* ctx) const override {
     ++ctx->steps;
-    DocFunction fn;
-    HEPQ_ASSIGN_OR_RETURN(fn, LookupDocFunction(name_));
+    const DocFunction* fn = fn_ != nullptr ? fn_ : LookupDocFunction(name_);
+    if (fn == nullptr) {
+      return Status::KeyError("unknown function " + name_ + "()");
+    }
     std::vector<Sequence> args;
     args.reserve(args_.size());
     for (const DocExprPtr& arg : args_) {
@@ -253,7 +263,7 @@ class CallExpr final : public DocExpr {
       HEPQ_ASSIGN_OR_RETURN(value, arg->Eval(ctx));
       args.push_back(std::move(value));
     }
-    return fn(args);
+    return (*fn)(args);
   }
   DocShape Shape() const override {
     DocShape s;
@@ -267,6 +277,7 @@ class CallExpr final : public DocExpr {
  private:
   std::string name_;
   std::vector<DocExprPtr> args_;
+  const DocFunction* fn_;  // null: not registered when the call was built
 };
 
 class ObjectExpr final : public DocExpr {
@@ -463,9 +474,11 @@ class FlworExpr final : public DocExpr {
         Tuple tuple;
         tuple.reserve(bound_vars_.size());
         for (const std::string& var : bound_vars_) {
-          Sequence value;
-          HEPQ_ASSIGN_OR_RETURN(value, ctx->Lookup(var));
-          tuple.push_back(std::move(value));
+          const Sequence* value = ctx->Lookup(var);
+          if (value == nullptr) {
+            return Status::KeyError("undefined variable $" + var);
+          }
+          tuple.push_back(*value);
         }
         tuples.push_back(std::move(tuple));
         return Status::OK();
@@ -651,6 +664,7 @@ DocExprPtr DBin(DocBinOp op, DocExprPtr lhs, DocExprPtr rhs) {
   return std::make_shared<BinExpr>(op, std::move(lhs), std::move(rhs));
 }
 DocExprPtr DCall(std::string function, std::vector<DocExprPtr> args) {
+  EnsureDocFunctionsRegistered();
   return std::make_shared<CallExpr>(std::move(function), std::move(args));
 }
 DocExprPtr DObject(std::vector<std::pair<std::string, DocExprPtr>> members) {
@@ -691,13 +705,10 @@ void RegisterDocFunction(const std::string& name, DocFunction fn) {
   FunctionRegistry()[name] = std::move(fn);
 }
 
-Result<DocFunction> LookupDocFunction(const std::string& name) {
-  auto& registry = FunctionRegistry();
+const DocFunction* LookupDocFunction(const std::string& name) {
+  const auto& registry = FunctionRegistry();
   const auto it = registry.find(name);
-  if (it == registry.end()) {
-    return Status::KeyError("unknown function " + name + "()");
-  }
-  return it->second;
+  return it == registry.end() ? nullptr : &it->second;
 }
 
 }  // namespace hepq::doc

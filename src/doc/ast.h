@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.h"
@@ -21,7 +22,8 @@ class DocContext {
   }
   void Pop() { bindings_.pop_back(); }
 
-  Result<Sequence> Lookup(const std::string& name) const;
+  /// The innermost binding of `name`, or nullptr if it is unbound.
+  const Sequence* Lookup(std::string_view name) const;
 
   void PushContextItem(ItemPtr item) {
     context_items_.push_back(std::move(item));
@@ -114,7 +116,9 @@ DocExprPtr DUnbox(DocExprPtr input);
 /// the element bound as context item.
 DocExprPtr DPredicate(DocExprPtr input, DocExprPtr predicate);
 DocExprPtr DBin(DocBinOp op, DocExprPtr lhs, DocExprPtr rhs);
-/// Builtin function call; see RegisterHepFunctions for the library.
+/// Builtin function call; see EnsureDocFunctionsRegistered for the
+/// library. The function is resolved here; a name registered only later is
+/// looked up on each evaluation, and an unknown one fails there (KeyError).
 DocExprPtr DCall(std::string function, std::vector<DocExprPtr> args);
 /// Object constructor { "a": expr, ... }.
 DocExprPtr DObject(std::vector<std::pair<std::string, DocExprPtr>> members);
@@ -183,9 +187,12 @@ using DocFunction =
 
 /// Global function registry (fn: core functions + hep: physics library).
 /// Registered once at process start via an internal initializer; exposed
-/// for tests and user extensions.
+/// for tests and user extensions. Register before evaluating on more than
+/// one thread: the registry takes no lock.
 void RegisterDocFunction(const std::string& name, DocFunction fn);
-Result<DocFunction> LookupDocFunction(const std::string& name);
+/// The registered function, or nullptr. The pointer stays valid for the
+/// process (re-registering a name replaces the function it points to).
+const DocFunction* LookupDocFunction(const std::string& name);
 
 }  // namespace hepq::doc
 

@@ -4,8 +4,8 @@
 namespace hepq::doc {
 
 /// Registers the core (fn:) and physics (hep:) builtin function library in
-/// the process-wide registry. Idempotent; called by DocRunner, call it
-/// yourself when evaluating expressions directly.
+/// the process-wide registry. Idempotent; DCall calls it, so every built
+/// call sees the library.
 ///
 /// Core: count, sum, min, max, abs, sqrt, exists, empty, not.
 /// Physics (the "module library" of paper §3.6): hep:add-pt-eta-phi-m2/-m3

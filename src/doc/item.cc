@@ -4,38 +4,46 @@
 
 namespace hepq::doc {
 
+std::shared_ptr<Item> Item::Make(Kind kind) {
+  return std::make_shared<Item>(Token{}, kind);
+}
+
 ItemPtr Item::Null() {
-  static const ItemPtr& instance =
-      *new ItemPtr(std::shared_ptr<Item>(new Item(Kind::kNull)));
+  static const ItemPtr& instance = *new ItemPtr(Make(Kind::kNull));
   return instance;
 }
 
 ItemPtr Item::Bool(bool value) {
-  auto item = std::shared_ptr<Item>(new Item(Kind::kBool));
-  item->bool_ = value;
-  return item;
+  // Per thread, so scan threads do not share the refcount's cache line.
+  thread_local const ItemPtr kFalse = Make(Kind::kBool);
+  thread_local const ItemPtr kTrue = [] {
+    auto item = Make(Kind::kBool);
+    item->bool_ = true;
+    return item;
+  }();
+  return value ? kTrue : kFalse;
 }
 
 ItemPtr Item::Number(double value) {
-  auto item = std::shared_ptr<Item>(new Item(Kind::kNumber));
+  auto item = Make(Kind::kNumber);
   item->number_ = value;
   return item;
 }
 
 ItemPtr Item::String(std::string value) {
-  auto item = std::shared_ptr<Item>(new Item(Kind::kString));
+  auto item = Make(Kind::kString);
   item->string_ = std::move(value);
   return item;
 }
 
 ItemPtr Item::Array(Sequence elements) {
-  auto item = std::shared_ptr<Item>(new Item(Kind::kArray));
+  auto item = Make(Kind::kArray);
   item->elements_ = std::move(elements);
   return item;
 }
 
 ItemPtr Item::Object(std::vector<std::pair<std::string, ItemPtr>> members) {
-  auto item = std::shared_ptr<Item>(new Item(Kind::kObject));
+  auto item = Make(Kind::kObject);
   item->members_ = std::move(members);
   return item;
 }
@@ -55,7 +63,7 @@ bool Item::AsBool() const {
   }
 }
 
-ItemPtr Item::Member(const std::string& name) const {
+ItemPtr Item::Member(std::string_view name) const {
   for (const auto& [key, value] : members_) {
     if (key == name) return value;
   }

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,15 +15,26 @@ using ItemPtr = std::shared_ptr<const Item>;
 using Sequence = std::vector<ItemPtr>;
 
 /// A boxed JSON value — the runtime representation of the Rumble/JSONiq
-/// execution model the paper benchmarks. Every number, object, and array
-/// is heap-allocated and reference-counted; member lookup is by string.
-/// This boxing is deliberately kept (rather than optimized away) because it
-/// is the cost driver that makes the document engine one-plus orders of
-/// magnitude slower than the columnar engines, as the paper measures for
-/// Rumble.
+/// execution model the paper benchmarks. The engine keeps the costs the
+/// paper puts Rumble's slowness down to: every number, object and array is
+/// its own heap-allocated, reference-counted item; member and variable
+/// lookup are by-name scans; each event is boxed at full width; FLWOR runs
+/// its loops as written. It does not model costs a boxed interpreter need
+/// not pay: an item and its reference count share one allocation, `Bool`
+/// hands out one of two shared (per-thread) boxes as `Null` does, and a
+/// function call resolves its builtin when the call is built, not per
+/// evaluation.
 class Item {
+  /// Passkey: only the factories construct items, yet std::make_shared can
+  /// place each one beside its control block (one allocation per item).
+  struct Token {
+    explicit Token() = default;
+  };
+
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  Item(Token, Kind kind) : kind_(kind) {}
 
   static ItemPtr Null();
   static ItemPtr Bool(bool value);
@@ -47,7 +59,7 @@ class Item {
 
   /// Object member by name, or nullptr. Linear scan by string — the
   /// realistic cost of schema-less records.
-  ItemPtr Member(const std::string& name) const;
+  ItemPtr Member(std::string_view name) const;
   const std::vector<std::pair<std::string, ItemPtr>>& Members() const {
     return members_;
   }
@@ -57,7 +69,7 @@ class Item {
   std::string ToJson() const;
 
  private:
-  explicit Item(Kind kind) : kind_(kind) {}
+  static std::shared_ptr<Item> Make(Kind kind);
 
   Kind kind_;
   bool bool_ = false;

@@ -7,7 +7,6 @@
 
 #include "core/stopwatch.h"
 #include "doc/convert.h"
-#include "doc/functions.h"
 #include "exec/exec.h"
 #include "obs/trace.h"
 
@@ -548,7 +547,6 @@ Result<DocQueryResult> RunDocQuery(const std::string& path,
                                    ReaderOptions reader_options,
                                    int num_threads, const DocQuery& query) {
   obs::ScopedSpan run_span("run", obs::Stage::kRun);
-  EnsureDocFunctionsRegistered();
   DocQueryResult result = EmptyResult(query);
   Stopwatch wall;
   const double cpu0 = ProcessCpuSeconds();

@@ -46,16 +46,37 @@ bool ParseVexprTier(const std::string& name, VexprTier* out) {
   return true;
 }
 
-bool ParsePositiveInt(const std::string& text, int64_t* out) {
-  // At most 18 digits, so the value always fits an int64_t.
-  if (text.empty() || text.size() > 18) return false;
-  int64_t value = 0;
+bool ParseNonNegativeInt(const std::string& text, uint64_t* out) {
+  if (text.empty()) return false;
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  uint64_t value = 0;
   for (char c : text) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (kMax - digit) / 10) return false;
+    value = value * 10 + digit;
   }
-  if (value <= 0) return false;
   *out = value;
+  return true;
+}
+
+bool ParseNonNegativeInt(const std::string& text, int* out) {
+  uint64_t value = 0;
+  if (!ParseNonNegativeInt(text, &value) ||
+      value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+bool ParsePositiveInt(const std::string& text, int64_t* out) {
+  // At most 18 digits, so the value always fits an int64_t.
+  uint64_t value = 0;
+  if (text.size() > 18 || !ParseNonNegativeInt(text, &value) || value == 0) {
+    return false;
+  }
+  *out = static_cast<int64_t>(value);
   return true;
 }
 

@@ -71,6 +71,14 @@ const char* VexprTierName(VexprTier tier);
 /// Parses a tier name; returns false (leaving `out` untouched) on any
 /// other string.
 bool ParseVexprTier(const std::string& name, VexprTier* out);
+/// Parses a non-negative decimal (ASCII digits only: no sign, space,
+/// prefix or suffix) that fits `uint64_t` (a `--seed=`); returns false
+/// (leaving `out` untouched) otherwise. The other parsers below share its
+/// digit rules.
+bool ParseNonNegativeInt(const std::string& text, uint64_t* out);
+/// The same for an int-sized index (a `--worker-shards=` bound): values
+/// above INT_MAX are rejected too.
+bool ParseNonNegativeInt(const std::string& text, int* out);
 /// Parses a positive decimal count of at most 18 digits (an event count,
 /// a `--cache=` byte budget, a shard or row-group size); returns false
 /// (leaving `out` untouched) on an empty, non-numeric, non-positive, or

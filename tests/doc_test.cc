@@ -1,5 +1,6 @@
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,19 @@ TEST_F(DocTest, ItemBasics) {
   EXPECT_TRUE(Item::Number(1.0)->AsBool());
   EXPECT_TRUE(Item::String("x")->AsBool());
   EXPECT_FALSE(Item::String("")->AsBool());
+}
+
+TEST_F(DocTest, BooleansAreSharedBoxesPerThread) {
+  EXPECT_EQ(Item::Bool(true), Item::Bool(true));
+  EXPECT_EQ(Item::Bool(false), Item::Bool(false));
+  EXPECT_NE(Item::Bool(true), Item::Bool(false));
+  EXPECT_FALSE(Item::Bool(false)->AsBool());
+  // Another thread has its own pair, and a box outlives its thread.
+  ItemPtr from_thread;
+  std::thread([&from_thread] { from_thread = Item::Bool(true); }).join();
+  EXPECT_NE(from_thread, Item::Bool(true));
+  EXPECT_TRUE(from_thread->AsBool());
+  EXPECT_EQ(from_thread->ToJson(), "true");
 }
 
 TEST_F(DocTest, ObjectMemberLookup) {

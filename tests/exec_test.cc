@@ -262,7 +262,9 @@ TEST_F(ExecDatasetTest, EveryFrontendBitIdenticalAcrossThreadCounts) {
                                 EngineKind::kPrestoShape, EngineKind::kDoc};
   // Q1 scalar-only, Q4 grouped aggregation, Q5 pair combinatorics: cover
   // the per-event, grouped, and combinatorial merge paths of each engine.
-  for (int q : {1, 4, 5}) {
+  // Q8 adds the doc engine's FLWOR `order by`, positional predicates,
+  // object constructors, hep: calls and shared booleans on every thread.
+  for (int q : {1, 4, 5, 8}) {
     for (EngineKind engine : engines) {
       queries::RunOptions options;
       options.num_threads = 1;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+
 #include "datagen/dataset.h"
 #include "queries/adl.h"
 #include "queries/builders.h"
@@ -74,6 +77,31 @@ TEST(ParsePositiveIntTest, WideFormTakesEighteenDigits) {
     out = 7;
     EXPECT_FALSE(ParsePositiveInt(bad, &out)) << '"' << bad << '"';
     EXPECT_EQ(out, 7) << '"' << bad << '"';
+  }
+}
+
+TEST(ParseNonNegativeIntTest, AcceptsDecimalsThatFit) {
+  uint64_t seed = 7;
+  EXPECT_TRUE(ParseNonNegativeInt("0", &seed));
+  EXPECT_EQ(seed, 0u);
+  EXPECT_TRUE(ParseNonNegativeInt("18446744073709551615", &seed));
+  EXPECT_EQ(seed, UINT64_MAX);
+  int bound = 7;
+  EXPECT_TRUE(ParseNonNegativeInt("0", &bound));
+  EXPECT_EQ(bound, 0);
+  EXPECT_TRUE(ParseNonNegativeInt("2147483647", &bound));
+  EXPECT_EQ(bound, INT_MAX);
+  for (const char* bad : {"", "abc", "12x", "-1", "+1", " 7", "7 ", "0x10",
+                          "1e5", "18446744073709551616",
+                          "99999999999999999999"}) {
+    seed = 7;
+    EXPECT_FALSE(ParseNonNegativeInt(bad, &seed)) << '"' << bad << '"';
+    EXPECT_EQ(seed, 7u) << '"' << bad << '"';
+  }
+  for (const char* bad : {"", "0x", "1y", "-1", "2147483648"}) {
+    bound = 7;
+    EXPECT_FALSE(ParseNonNegativeInt(bad, &bound)) << '"' << bad << '"';
+    EXPECT_EQ(bound, 7) << '"' << bad << '"';
   }
 }
 
@@ -320,6 +348,21 @@ TEST(QueriesTest, ScanPredicatesPerPlanShape) {
     ASSERT_TRUE(query.ok()) << "Q" << q;
     EXPECT_EQ(query->ScanPredicates().ToString(), kEvent[q - 1])
         << "event Q" << q;
+  }
+}
+
+/// The document engine's work per query: interpreter steps over the test
+/// data set, captured before the interpreter's allocation and lookup
+/// overheads were cut. A change that makes the doc engine faster by doing
+/// less modelled work (hoisting a `where`, skipping a boxing step) shows
+/// up here.
+TEST(QueriesTest, DocInterpreterStepsPerQuery) {
+  const uint64_t kSteps[] = {18000,  24000,    124150, 120389,
+                             151987, 13834271, 324852, 448927};
+  for (int q = 1; q <= 8; ++q) {
+    const auto run = RunAdlQuery(EngineKind::kDoc, q, TestDataset());
+    ASSERT_TRUE(run.ok()) << "Q" << q << ": " << run.status().ToString();
+    EXPECT_EQ(run->ops, kSteps[q - 1]) << "doc Q" << q;
   }
 }
 

@@ -9,10 +9,10 @@
 // of shards, in any order, or growing N later reproduces existing shards
 // bit for bit, so a 54M-event paper-scale dataset can be built
 // incrementally or in parallel across machines. Existing shard files are
-// skipped. N, M and R must be positive integers (exit 2 otherwise).
+// skipped. N, M and R must be positive integers and S a non-negative
+// integer that fits 64 bits (exit 2 otherwise).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -35,7 +35,10 @@ int main(int argc, char** argv) {
       ok = hepq::queries::ParsePositiveInt(argv[i] + 12,
                                            &spec.row_group_size);
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      spec.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      if (!hepq::queries::ParseNonNegativeInt(argv[i] + 7, &spec.seed)) {
+        std::fprintf(stderr, "--seed needs a non-negative integer\n");
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--dir=", 6) == 0) {
       dir = argv[i] + 6;
     } else {

@@ -453,14 +453,18 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[i], "--worker-shards=", 16) == 0) {
-      const char* spec = argv[i] + 16;
-      const char* colon = std::strchr(spec, ':');
-      if (colon == nullptr) {
-        std::fprintf(stderr, "--worker-shards must be <begin>:<end>\n");
+      const std::string spec = argv[i] + 16;
+      const size_t colon = spec.find(':');
+      if (colon == std::string::npos ||
+          !hepq::queries::ParseNonNegativeInt(spec.substr(0, colon),
+                                              &worker_shards.begin) ||
+          !hepq::queries::ParseNonNegativeInt(spec.substr(colon + 1),
+                                              &worker_shards.end)) {
+        std::fprintf(stderr,
+                     "--worker-shards must be <begin>:<end>, two "
+                     "non-negative integers\n");
         return 2;
       }
-      worker_shards.begin = std::atoi(spec);
-      worker_shards.end = std::atoi(colon + 1);
       worker_mode = true;
       continue;
     }
